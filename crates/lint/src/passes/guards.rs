@@ -124,8 +124,8 @@ const BLOCKING_METHODS: [(&str, &str, bool); 13] = [
     ("open", "file open", false),
 ];
 
-/// Free functions that write to an HTTP client socket.
-const HTTP_WRITERS: [&str; 2] = ["respond_and_close", "write_to"];
+/// Functions that write to (or drain) an HTTP client socket.
+const HTTP_WRITERS: [&str; 2] = ["close_gracefully", "write_to"];
 
 /// Scans `file` once, producing declarations, acquisitions and blocking
 /// calls with lexically-tracked held-guard snapshots.

@@ -18,7 +18,7 @@
 //!   destination is an in-memory `String`; real-file uses are ratcheted
 //!   through the allowlist, string formatting under a lock is still
 //!   worth a look).
-//! * HTTP/socket writes — `respond_and_close` / `.write_to(`.
+//! * HTTP/socket writes — `.write_to(` and the `close_gracefully` drain.
 //!
 //! Like panic-freedom, the pass is allowlist-ratcheted: surviving sites
 //! carry `[[allow]]` entries (pass `hold-and-block`) with justifications

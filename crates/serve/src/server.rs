@@ -3,9 +3,11 @@
 //!
 //! The shape mirrors the rest of the workspace's threading conventions
 //! (explicit `std::thread` pools, no async runtime): one acceptor thread
-//! (the caller of [`Server::run`]) pulls connections off a non-blocking
-//! listener and pushes them onto a bounded queue; `workers` threads pop
-//! and answer them. Every admission decision is made *before* any parsing
+//! (the caller of [`Server::run`]) sleeps in a readiness wait (`poll(2)`
+//! on Unix) on the listener, accepts each connection as soon as it
+//! arrives, and pushes it onto a bounded queue; `workers` threads pop and
+//! answer them. The wait times out every few milliseconds so the acceptor
+//! notices shutdown. Every admission decision is made *before* any parsing
 //! happens, so overload is shed for the cost of one small write:
 //!
 //! * queue full → `503` + `Retry-After` and the connection is closed
@@ -225,7 +227,8 @@ impl Server {
     pub fn bind(config: &ServeConfig) -> std::io::Result<Server> {
         let listener = TcpListener::bind(&config.addr)?;
         let local_addr = listener.local_addr()?;
-        // Non-blocking so the accept loop can poll the shutdown flag.
+        // Non-blocking so `accept` after a spurious wake-up returns
+        // instead of blocking past a shutdown request.
         listener.set_nonblocking(true)?;
         let workers = if config.workers == 0 {
             hetesim_core::default_threads()
@@ -339,9 +342,11 @@ impl Server {
                     });
                 }
                 Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
-                    std::thread::sleep(Duration::from_millis(5));
+                    wait_readable(&self.listener, ACCEPT_WAIT);
                 }
-                Err(_) => std::thread::sleep(Duration::from_millis(5)),
+                // EMFILE and friends leave the listener readable, so a
+                // readiness wait would spin: back off instead.
+                Err(_) => std::thread::sleep(ACCEPT_WAIT),
             }
         }
         // Wake every worker so they observe the stop flag and drain.
@@ -361,12 +366,12 @@ impl Server {
         if queue.len() >= self.queue_depth {
             drop(queue);
             hetesim_obs::add("serve.server.shed", 1);
-            let _ = job.stream.set_write_timeout(Some(Duration::from_secs(1)));
-            respond_and_close(
-                job.stream,
-                &Response::error(503, "server overloaded, retry later")
-                    .with_header("retry-after", "1"),
-            );
+            let mut stream = job.stream;
+            let _ = stream.set_write_timeout(Some(Duration::from_secs(1)));
+            let _ = Response::error(503, "server overloaded, retry later")
+                .with_header("retry-after", "1")
+                .write_to(&mut stream);
+            close_gracefully(stream);
             return;
         }
         queue.push_back(job);
@@ -743,8 +748,11 @@ impl Server {
         let response = response.with_header("x-trace-id", &format!("{trace_id:016x}"));
         {
             let _stage = hetesim_obs::span("serve.server.write");
-            respond_and_close(stream, &response);
+            let _ = response.write_to(&mut stream);
         }
+        // Bookkeeping happens before the half-close: the client reads to
+        // EOF, so by the time it has the whole response this request's
+        // trace is already in the ring and its latency recorded.
         hetesim_obs::record(
             "serve.server.latency_us",
             accepted.elapsed().as_micros() as u64,
@@ -764,6 +772,55 @@ impl Server {
                 }
             }
         }
+        close_gracefully(stream);
+    }
+}
+
+/// Longest the acceptor waits between checks of the stop flags, and its
+/// back-off after a failed `accept`.
+const ACCEPT_WAIT: Duration = Duration::from_millis(5);
+
+/// Blocks until `listener` has a connection waiting or `timeout` passes.
+/// Early returns (a signal, a connection another thread took) are fine:
+/// the caller retries `accept` and re-checks its stop flags either way.
+fn wait_readable(listener: &TcpListener, timeout: Duration) {
+    #[cfg(unix)]
+    {
+        use std::os::unix::io::AsRawFd;
+        #[repr(C)]
+        struct PollFd {
+            fd: i32,
+            events: i16,
+            revents: i16,
+        }
+        #[cfg(target_os = "linux")]
+        type NFds = std::ffi::c_ulong;
+        #[cfg(not(target_os = "linux"))]
+        type NFds = std::ffi::c_uint;
+        extern "C" {
+            fn poll(fds: *mut PollFd, nfds: NFds, timeout_ms: i32) -> i32;
+        }
+        const POLLIN: i16 = 0x1;
+        let mut pfd = PollFd {
+            fd: listener.as_raw_fd(),
+            events: POLLIN,
+            revents: 0,
+        };
+        let timeout_ms = i32::try_from(timeout.as_millis()).unwrap_or(i32::MAX);
+        // SAFETY: `poll(2)` reads and writes exactly `nfds` = 1 `pollfd`,
+        // and `pfd` is a live, exclusively borrowed `#[repr(C)]` struct
+        // with the C layout (int fd; short events; short revents). The fd
+        // is owned by `listener`, which outlives the call. The result is
+        // ignored on purpose: readiness, timeout and EINTR all lead the
+        // caller to the same retry.
+        unsafe {
+            poll(&mut pfd, 1, timeout_ms);
+        }
+    }
+    #[cfg(not(unix))]
+    {
+        let _ = listener;
+        std::thread::sleep(timeout);
     }
 }
 
@@ -786,15 +843,14 @@ pub(crate) fn parse_window_ms(raw: &str) -> Option<u64> {
         .and_then(|n| n.checked_mul(scale_ms))
 }
 
-/// Writes the response, half-closes, and drains whatever the client was
-/// still sending. Closing a socket with unread bytes in its receive
-/// buffer makes the kernel send RST, which can destroy the response
-/// before the client reads it — this matters on the shed path, where the
-/// server answers without ever reading the request. The drain is bounded
-/// (read timeout + iteration cap), so a stalled client cannot pin the
-/// thread.
-fn respond_and_close(mut stream: TcpStream, response: &Response) {
-    let _ = response.write_to(&mut stream);
+/// Half-closes a connection whose response is written, then drains
+/// whatever the client was still sending. Closing a socket with unread
+/// bytes in its receive buffer makes the kernel send RST, which can
+/// destroy the response before the client reads it — this matters on the
+/// shed path, where the server answers without ever reading the request.
+/// The drain is bounded (read timeout + iteration cap), so a stalled
+/// client cannot pin the thread.
+fn close_gracefully(mut stream: TcpStream) {
     let _ = stream.shutdown(Shutdown::Write);
     let _ = stream.set_read_timeout(Some(Duration::from_millis(250)));
     let mut sink = [0u8; 1024];

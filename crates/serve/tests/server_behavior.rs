@@ -4,7 +4,7 @@
 
 use hetesim_serve::{client, Request, Response, ServeConfig, Server, ShutdownHandle};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 /// Stops the server even when the test body panics; without this the
 /// scope would block forever joining a server nobody shut down.
@@ -52,6 +52,47 @@ fn answers_and_shuts_down() {
         let r = client::get(addr, "/anything").unwrap();
         assert_eq!(r.status, 200);
         assert_eq!(r.body, "{\"pong\":true}");
+    });
+}
+
+#[test]
+fn connections_are_accepted_as_soon_as_they_arrive() {
+    // Fifty fresh connections one after another: an acceptor that naps
+    // between polls makes each wait out the nap (~5 ms apiece).
+    let handler = |_req: &Request| Response::json(200, "{}");
+    with_server(config(), handler, |addr| {
+        assert_eq!(client::get(addr, "/warm").unwrap().status, 200);
+        let start = Instant::now();
+        for _ in 0..50 {
+            assert_eq!(client::get(addr, "/fast").unwrap().status, 200);
+        }
+        let took = start.elapsed();
+        assert!(
+            took < Duration::from_millis(100),
+            "50 sequential requests took {took:?}"
+        );
+    });
+}
+
+#[test]
+fn idle_server_stops_promptly_on_shutdown() {
+    let handler = |_req: &Request| Response::json(200, "{}");
+    let server = Server::bind(&config()).unwrap();
+    let addr = server.local_addr();
+    let handle = server.handle();
+    std::thread::scope(|scope| {
+        let serving = scope.spawn(|| server.run(&handler));
+        // One answered request proves the acceptor is up and now idle in
+        // its readiness wait.
+        assert_eq!(client::get(addr, "/up").unwrap().status, 200);
+        let start = Instant::now();
+        handle.shutdown();
+        serving.join().unwrap().unwrap();
+        let took = start.elapsed();
+        assert!(
+            took < Duration::from_millis(250),
+            "run returned {took:?} after shutdown"
+        );
     });
 }
 

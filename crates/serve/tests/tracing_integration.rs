@@ -193,6 +193,38 @@ fn sampled_query_decomposes_into_engine_stages() {
 }
 
 #[test]
+fn a_trace_is_in_the_ring_once_its_response_has_arrived() {
+    // Two workers, so `/traces/recent` can be answered while the worker
+    // that served the query is still finishing up: the query's trace must
+    // already be recorded by the time its client sees end of response.
+    let (hin, star) = network();
+    hetesim_obs::enable();
+    let cfg = ServeConfig {
+        trace_sample: 1,
+        ..config()
+    };
+    let body = format!("{{\"path\":\"APVC\",\"source\":\"{star}\",\"k\":3}}");
+    with_app(&cfg, &hin, HeteSimEngine::new(&hin), |addr| {
+        for i in 0..200 {
+            let r = client::post_json(addr, "/query", &body).unwrap();
+            assert_eq!(r.status, 200, "{}", r.body);
+            let id = r.header("x-trace-id").expect("x-trace-id header");
+            let traces = client::get(addr, "/traces/recent?n=8").unwrap();
+            let parsed = Json::parse(&traces.body).unwrap();
+            assert!(
+                parsed
+                    .as_array()
+                    .unwrap()
+                    .iter()
+                    .any(|t| t.get("trace_id").and_then(Json::as_str) == Some(id)),
+                "iteration {i}: trace {id} not in ring: {}",
+                traces.body
+            );
+        }
+    });
+}
+
+#[test]
 fn slow_requests_are_captured_even_when_head_sampling_drops_them() {
     hetesim_obs::enable();
     let dir = std::env::temp_dir().join(format!("hetesim-slowlog-{}", std::process::id()));
