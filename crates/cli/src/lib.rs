@@ -143,8 +143,8 @@ commands:
       This text.
 
 query commands (query/top-k, pair, join) also accept:
-  --threads N             worker threads for matrix products and top-k
-                          scans; 0 (default) = auto (HETESIM_THREADS env
+  --threads N             worker threads for matrix products and the
+                          join; 0 (default) = auto (HETESIM_THREADS env
                           or available cores), 1 = serial. Results are
                           bit-identical at every thread count.
 

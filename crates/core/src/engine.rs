@@ -461,7 +461,7 @@ impl<'a> HeteSimEngine<'a> {
         self.check_source(path, a)?;
         let h = self.halves(path)?;
         let _stage = hetesim_obs::span("core.engine.topk");
-        crate::topk::top_k_parallel(&h, a, k, self.threads)
+        crate::topk::top_k_pruned(&h, a, k)
     }
 
     /// The `k` most relevant `(source, target)` pairs across the whole
@@ -909,6 +909,28 @@ mod tests {
             }
         }
         assert!(e.top_k_pairs(&apc, 0).unwrap().is_empty());
+    }
+
+    #[test]
+    fn huge_k_returns_every_candidate_without_preallocating() {
+        let hin = fig4();
+        let e = HeteSimEngine::new(&hin);
+        let apc = MetaPath::parse(hin.schema(), "APC").unwrap();
+        let targets = hin.node_count(apc.target_type());
+        let sources = hin.node_count(apc.source_type());
+        for k in [100_000_000_000u64 as usize, usize::MAX] {
+            for a in 0..sources as u32 {
+                assert_eq!(
+                    e.top_k(&apc, a, k).unwrap(),
+                    e.top_k(&apc, a, targets).unwrap()
+                );
+            }
+            let all = sources * targets;
+            assert_eq!(
+                e.top_k_pairs(&apc, k).unwrap(),
+                e.top_k_pairs(&apc, all).unwrap()
+            );
+        }
     }
 
     #[test]

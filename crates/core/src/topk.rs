@@ -11,11 +11,6 @@ use crate::{Ranked, Result};
 use std::cmp::Ordering;
 use std::collections::BinaryHeap;
 
-/// Right-half nnz below which [`top_k_parallel`] stays on the serial pruned
-/// path: the parallel variant scans every target's right row, so it only
-/// wins once that scan is big enough to amortize thread startup.
-const PARALLEL_MIN_RIGHT_NNZ: usize = 1 << 16;
-
 /// Left-half nnz below which [`top_k_pairs_parallel`] stays serial. The
 /// all-pairs join does a full pruned accumulation per source, so far less
 /// total mass is needed before threads pay off.
@@ -82,11 +77,13 @@ impl PartialOrd for HeapItem {
 }
 
 impl TopK {
-    /// A collector keeping the best `k` items.
-    pub fn new(k: usize) -> TopK {
+    /// A collector keeping the best `k` of at most `candidates` offered
+    /// items. The heap preallocates for the smaller of the two, so a `k`
+    /// far above what can ever be offered costs nothing up front.
+    pub fn new(k: usize, candidates: usize) -> TopK {
         TopK {
             k,
-            heap: BinaryHeap::with_capacity(k + 1),
+            heap: BinaryHeap::with_capacity(k.min(candidates)),
         }
     }
 
@@ -126,120 +123,35 @@ impl TopK {
     }
 }
 
+/// The stored entries of one left-half row and their L2 norm (the same
+/// sum of squares [`hetesim_sparse::SparseVec::l2_norm`] takes).
+fn source_row(h: &Halves, source: usize) -> (&[u32], &[f64], f64) {
+    let vals = h.left.row_values(source);
+    let norm = vals.iter().map(|v| v * v).sum::<f64>().sqrt();
+    (h.left.row_indices(source), vals, norm)
+}
+
 /// Top-k normalized HeteSim for one source row over materialized halves.
 ///
-/// Complexity is `O(Σ_{m ∈ supp(u)} nnz(right_t[m]) + |candidates| log k)`
-/// — independent of the number of targets with zero meeting probability.
+/// Dot products accumulate over `right_t` with
+/// [`CsrMatrix::vecmat_each`](hetesim_sparse::CsrMatrix::vecmat_each),
+/// so only the targets that share a middle object with the source are
+/// ever scored. Complexity is
+/// `O(Σ_{m ∈ supp(u)} nnz(right_t[m]) + |candidates| log k)` —
+/// independent of the number of targets with zero meeting probability.
 pub fn top_k_pruned(h: &Halves, source: u32, k: usize) -> Result<Vec<Ranked>> {
-    let u = h.left.row(source as usize);
-    if u.is_empty() || k == 0 {
+    let (idx, vals, un) = source_row(h, source as usize);
+    if idx.is_empty() || k == 0 {
         return Ok(Vec::new());
     }
-    let un = u.l2_norm();
-    // Sparse accumulation of dot products into only the reachable targets.
-    let mut acc: std::collections::HashMap<u32, f64> = std::collections::HashMap::new();
-    for (m, w) in u.iter() {
-        for (&t, &v) in h.right_t.row_indices(m).iter().zip(h.right_t.row_values(m)) {
-            *acc.entry(t).or_insert(0.0) += w * v;
-        }
-    }
-    let mut top = TopK::new(k);
-    for (t, dot) in acc {
+    let mut top = TopK::new(k, h.right_t.ncols());
+    let touched = h.right_t.vecmat_each(idx, vals, |t, dot| {
         let denom = un * h.right_norms[t as usize];
         if denom > 0.0 {
             top.push(t, dot / denom);
         }
-    }
-    Ok(top.into_sorted())
-}
-
-/// Top-k normalized HeteSim for one source row with the candidate scan
-/// partitioned across `threads` workers.
-///
-/// Targets are split into contiguous ranges of near-equal right-half nnz;
-/// each worker scores its targets into a private [`TopK`] and the heaps are
-/// merged at the end. Per-target dot products accumulate contributions in
-/// ascending middle-object order — the same order as the serial pruned
-/// accumulation — so the output is bit-identical to [`top_k_pruned`] at
-/// every thread count. Falls back to the serial path when `threads <= 1`
-/// or the right half is too small to amortize workers.
-pub fn top_k_parallel(h: &Halves, source: u32, k: usize, threads: usize) -> Result<Vec<Ranked>> {
-    if threads <= 1 || h.right.nnz() < PARALLEL_MIN_RIGHT_NNZ {
-        return top_k_pruned(h, source, k);
-    }
-    top_k_parallel_force(h, source, k, threads)
-}
-
-/// The parallel body of [`top_k_parallel`], with no size gate (tests call
-/// it directly on small fixtures).
-fn top_k_parallel_force(h: &Halves, source: u32, k: usize, threads: usize) -> Result<Vec<Ranked>> {
-    let u = h.left.row(source as usize);
-    if u.is_empty() || k == 0 {
-        return Ok(Vec::new());
-    }
-    let _span = hetesim_obs::span!(
-        "core.topk.parallel",
-        targets = h.right.nrows(),
-        threads = threads,
-    );
-    let un = u.l2_norm();
-    // Densify the source distribution for O(1) middle lookups. A stored
-    // zero in `u` still marks its targets reachable (as the serial pruned
-    // accumulation does), so membership is tracked separately.
-    let dim = h.right.ncols();
-    let mut du = vec![0.0f64; dim];
-    let mut in_u = vec![false; dim];
-    for (m, w) in u.iter() {
-        du[m] = w;
-        in_u[m] = true;
-    }
-    let nt = h.right.nrows();
-    let ranges = balanced_ranges(nt, threads, |t| h.right.row_nnz(t));
-    let (du, in_u) = (&du[..], &in_u[..]);
-    let tops: Vec<TopK> = std::thread::scope(|s| {
-        let handles: Vec<_> = ranges
-            .iter()
-            .map(|&(lo, hi)| {
-                s.spawn(move || {
-                    let mut top = TopK::new(k);
-                    for t in lo..hi {
-                        let idx = h.right.row_indices(t);
-                        let vals = h.right.row_values(t);
-                        let mut dot = 0.0f64;
-                        let mut touched = false;
-                        for (&m, &v) in idx.iter().zip(vals) {
-                            if in_u[m as usize] {
-                                // Same operand order as the serial pruned
-                                // accumulation: u[m] * right[t][m], summed
-                                // over ascending m.
-                                dot += du[m as usize] * v;
-                                touched = true;
-                            }
-                        }
-                        if touched {
-                            let denom = un * h.right_norms[t];
-                            if denom > 0.0 {
-                                top.push(t as u32, dot / denom);
-                            }
-                        }
-                    }
-                    top
-                })
-            })
-            .collect();
-        handles
-            .into_iter()
-            .map(|h| h.join().expect("top-k worker panicked"))
-            .collect()
     });
-    // The kept top-k set is unique under the (score desc, index asc) total
-    // order, so merging per-worker heaps reproduces the serial result.
-    let mut top = TopK::new(k);
-    for t in tops {
-        for r in t.into_sorted() {
-            top.push(r.index, r.score);
-        }
-    }
+    hetesim_obs::add("core.engine.topk.touched", touched as u64);
     Ok(top.into_sorted())
 }
 
@@ -259,7 +171,7 @@ pub struct RankedPair {
 /// related-work section cites. Pairs with zero meeting probability are
 /// never materialized; ties break by `(source, target)` ascending.
 pub fn top_k_pairs(h: &Halves, k: usize) -> Result<Vec<RankedPair>> {
-    let mut best: Vec<RankedPair> = Vec::with_capacity(k + 1);
+    let mut best: Vec<RankedPair> = Vec::new();
     if k == 0 {
         return Ok(best);
     }
@@ -286,36 +198,28 @@ fn insert_pair(best: &mut Vec<RankedPair>, k: usize, candidate: RankedPair) {
 /// Scores every reachable target of one source (pruned accumulation) and
 /// offers the pairs to `best`.
 fn score_source_pairs(h: &Halves, source: usize, k: usize, best: &mut Vec<RankedPair>) {
-    let u = h.left.row(source);
-    if u.is_empty() {
+    let (idx, vals, un) = source_row(h, source);
+    if idx.is_empty() {
         return;
     }
-    let un = u.l2_norm();
-    let mut acc: std::collections::HashMap<u32, f64> = std::collections::HashMap::new();
-    for (m, w) in u.iter() {
-        for (&t, &v) in h.right_t.row_indices(m).iter().zip(h.right_t.row_values(m)) {
-            *acc.entry(t).or_insert(0.0) += w * v;
-        }
-    }
-    for (t, dot) in acc {
+    h.right_t.vecmat_each(idx, vals, |t, dot| {
         let denom = un * h.right_norms[t as usize];
         if denom <= 0.0 {
-            continue;
+            return;
         }
         let score = dot / denom;
-        if !score.is_finite() {
-            continue;
+        if score.is_finite() {
+            insert_pair(
+                best,
+                k,
+                RankedPair {
+                    source: source as u32,
+                    target: t,
+                    score,
+                },
+            );
         }
-        insert_pair(
-            best,
-            k,
-            RankedPair {
-                source: source as u32,
-                target: t,
-                score,
-            },
-        );
-    }
+    });
 }
 
 /// The `k` highest-scoring pairs with sources partitioned across `threads`
@@ -353,7 +257,7 @@ fn top_k_pairs_parallel_force(h: &Halves, k: usize, threads: usize) -> Result<Ve
             .iter()
             .map(|&(lo, hi)| {
                 s.spawn(move || {
-                    let mut best: Vec<RankedPair> = Vec::with_capacity(k + 1);
+                    let mut best: Vec<RankedPair> = Vec::new();
                     for source in lo..hi {
                         score_source_pairs(h, source, k, &mut best);
                     }
@@ -366,7 +270,7 @@ fn top_k_pairs_parallel_force(h: &Halves, k: usize, threads: usize) -> Result<Ve
             .map(|h| h.join().expect("top-k worker panicked"))
             .collect()
     });
-    let mut best: Vec<RankedPair> = Vec::with_capacity(k + 1);
+    let mut best: Vec<RankedPair> = Vec::new();
     for list in lists {
         for candidate in list {
             insert_pair(&mut best, k, candidate);
@@ -381,7 +285,7 @@ mod tests {
 
     #[test]
     fn keeps_best_k_sorted() {
-        let mut t = TopK::new(3);
+        let mut t = TopK::new(3, 5);
         for (i, s) in [(0u32, 0.1), (1, 0.9), (2, 0.5), (3, 0.7), (4, 0.2)] {
             t.push(i, s);
         }
@@ -393,7 +297,7 @@ mod tests {
 
     #[test]
     fn ties_break_by_index() {
-        let mut t = TopK::new(2);
+        let mut t = TopK::new(2, 5);
         t.push(5, 0.5);
         t.push(1, 0.5);
         t.push(3, 0.5);
@@ -403,14 +307,14 @@ mod tests {
 
     #[test]
     fn zero_k_collects_nothing() {
-        let mut t = TopK::new(0);
+        let mut t = TopK::new(0, 5);
         t.push(0, 1.0);
         assert!(t.into_sorted().is_empty());
     }
 
     #[test]
     fn nan_scores_are_ignored() {
-        let mut t = TopK::new(2);
+        let mut t = TopK::new(2, 5);
         t.push(0, f64::NAN);
         t.push(1, 0.5);
         let out = t.into_sorted();
@@ -420,7 +324,7 @@ mod tests {
 
     #[test]
     fn fewer_items_than_k() {
-        let mut t = TopK::new(10);
+        let mut t = TopK::new(10, 5);
         t.push(0, 0.3);
         t.push(1, 0.6);
         let out = t.into_sorted();
@@ -477,26 +381,146 @@ mod tests {
         halves_from(left.to_csr(), right.to_csr())
     }
 
-    #[test]
-    fn parallel_top_k_matches_pruned_bitwise() {
-        let h = skewed_halves();
+    /// The accumulation `top_k_pruned` used before the pooled kernel: a
+    /// `HashMap` keyed by target, filled over ascending middle objects.
+    /// Kept as the bit-identity oracle for the kernel route.
+    fn hashmap_top_k(h: &Halves, source: u32, k: usize) -> Vec<Ranked> {
+        let u = h.left.row(source as usize);
+        if u.is_empty() || k == 0 {
+            return Vec::new();
+        }
+        let un = u.l2_norm();
+        let mut acc: std::collections::HashMap<u32, f64> = std::collections::HashMap::new();
+        for (m, w) in u.iter() {
+            for (&t, &v) in h.right_t.row_indices(m).iter().zip(h.right_t.row_values(m)) {
+                *acc.entry(t).or_insert(0.0) += w * v;
+            }
+        }
+        let mut top = TopK::new(k, acc.len());
+        for (t, dot) in acc {
+            let denom = un * h.right_norms[t as usize];
+            if denom > 0.0 {
+                top.push(t, dot / denom);
+            }
+        }
+        top.into_sorted()
+    }
+
+    /// The `HashMap` all-pairs join `top_k_pairs` used before the kernel.
+    fn hashmap_top_k_pairs(h: &Halves, k: usize) -> Vec<RankedPair> {
+        let mut best = Vec::new();
+        if k == 0 {
+            return best;
+        }
         for source in 0..h.left.nrows() as u32 {
-            for k in [1usize, 3, 10, 1000] {
-                let serial = top_k_pruned(&h, source, k).unwrap();
-                for threads in [2usize, 4, 7, 64] {
-                    let par = top_k_parallel_force(&h, source, k, threads).unwrap();
-                    assert_eq!(par, serial, "source={source} k={k} threads={threads}");
-                }
+            for r in hashmap_top_k(h, source, usize::MAX) {
+                insert_pair(
+                    &mut best,
+                    k,
+                    RankedPair {
+                        source,
+                        target: r.index,
+                        score: r.score,
+                    },
+                );
+            }
+        }
+        best
+    }
+
+    fn bits(ranked: &[Ranked]) -> Vec<(u32, u64)> {
+        ranked
+            .iter()
+            .map(|r| (r.index, r.score.to_bits()))
+            .collect()
+    }
+
+    fn pair_bits(pairs: &[RankedPair]) -> Vec<(u32, u32, u64)> {
+        pairs
+            .iter()
+            .map(|p| (p.source, p.target, p.score.to_bits()))
+            .collect()
+    }
+
+    /// Asserts the kernel routes reproduce the `HashMap` oracle bit for
+    /// bit, for every source and each `k` in `{0, 1, 3, n, n + 5}` plus
+    /// `extra_k` (`n` = target count).
+    fn assert_matches_hashmap(h: &Halves, extra_k: &[usize]) {
+        let n = h.right.nrows();
+        let ks = [0usize, 1, 3, n, n + 5]
+            .into_iter()
+            .chain(extra_k.iter().copied());
+        for k in ks {
+            for source in 0..h.left.nrows() as u32 {
+                let got = top_k_pruned(h, source, k).unwrap();
+                assert_eq!(
+                    bits(&got),
+                    bits(&hashmap_top_k(h, source, k)),
+                    "source={source} k={k}"
+                );
+            }
+            let want = pair_bits(&hashmap_top_k_pairs(h, k));
+            assert_eq!(pair_bits(&top_k_pairs(h, k).unwrap()), want, "pairs k={k}");
+            for threads in [2usize, 4] {
+                let par = top_k_pairs_parallel_force(h, k, threads).unwrap();
+                assert_eq!(pair_bits(&par), want, "pairs k={k} threads={threads}");
             }
         }
     }
 
     #[test]
-    fn parallel_top_k_gates_to_serial_below_threshold() {
-        let h = skewed_halves();
-        assert!(h.right.nnz() < super::PARALLEL_MIN_RIGHT_NNZ);
-        let gated = top_k_parallel(&h, 0, 5, 8).unwrap();
-        assert_eq!(gated, top_k_pruned(&h, 0, 5).unwrap());
+    fn pruned_matches_hashmap_on_skewed_halves() {
+        assert_matches_hashmap(&skewed_halves(), &[10, 1000]);
+    }
+
+    #[test]
+    fn stored_zero_in_source_row_scores_its_targets_zero() {
+        // Source 0 reaches middle 1 only through a stored zero; target 1
+        // meets it nowhere else, so it is a candidate scored exactly 0.
+        let left = CsrMatrix::from_raw(1, 2, vec![0, 2], vec![0, 1], vec![1.0, 0.0]);
+        let mut right = CooMatrix::new(2, 2);
+        right.push(0, 0, 1.0);
+        right.push(1, 1, 1.0);
+        let h = halves_from(left, right.to_csr());
+        let got = top_k_pruned(&h, 0, 5).unwrap();
+        assert_eq!(got.len(), 2);
+        assert_eq!((got[1].index, got[1].score.to_bits()), (1, 0f64.to_bits()));
+        assert_matches_hashmap(&h, &[]);
+    }
+
+    use proptest::prelude::*;
+
+    /// Values whose sums round differently in different orders, so a
+    /// change of accumulation order shows in the bits.
+    const VALUES: [f64; 5] = [0.0, 0.1, 1.0 / 3.0, 0.7, 1.0];
+
+    /// Random halves with values from [`VALUES`]: stored zeros in both
+    /// halves, empty source rows, and exact score ties between targets
+    /// with equal rows.
+    fn arb_halves() -> impl Strategy<Value = Halves> {
+        (1..=8usize, 1..=8usize, 1..=10usize).prop_flat_map(|(s, m, t)| {
+            let entries = |rows, n| proptest::collection::vec((0..rows, 0..m, 0u8..=4), 0..=n);
+            (entries(s, 24), entries(t, 40)).prop_map(move |(l, r)| {
+                let mut left = CooMatrix::new(s, m);
+                for (i, j, v) in l {
+                    left.push(i, j, VALUES[v as usize]);
+                }
+                let mut right = CooMatrix::new(t, m);
+                for (i, j, v) in r {
+                    right.push(i, j, VALUES[v as usize]);
+                }
+                halves_from(left.to_csr(), right.to_csr())
+            })
+        })
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(128))]
+
+        #[test]
+        fn pruned_routes_match_hashmap_bitwise(h in arb_halves()) {
+            assert_matches_hashmap(&h, &[]);
+        }
     }
 
     #[test]

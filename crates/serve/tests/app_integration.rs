@@ -190,6 +190,26 @@ fn concurrent_queries_match_offline_top_k() {
 }
 
 #[test]
+fn huge_k_is_answered_and_server_stays_up() {
+    let (hin, star) = network();
+    let reference = HeteSimEngine::new(&hin);
+    let apvc = MetaPath::parse(hin.schema(), "APVC").unwrap();
+    let source = hin.node_id(apvc.source_type(), &star).unwrap();
+    let want = reference.top_k(&apvc, source, usize::MAX).unwrap();
+
+    with_app(&hin, HeteSimEngine::new(&hin), |addr, _| {
+        let body = format!("{{\"path\":\"APVC\",\"source\":\"{star}\",\"k\":100000000000}}");
+        let r = client::post_json(addr, "/query", &body).unwrap();
+        assert_eq!(r.status, 200, "{}", r.body);
+        let v = Json::parse(&r.body).unwrap();
+        let results = v.get("results").unwrap().as_array().unwrap();
+        assert_eq!(results.len(), want.len());
+        let r = client::get(addr, "/healthz").unwrap();
+        assert_eq!(r.status, 200, "{}", r.body);
+    });
+}
+
+#[test]
 fn pair_matches_offline_engine_and_ids_work() {
     let (hin, star) = network();
     let reference = HeteSimEngine::new(&hin);

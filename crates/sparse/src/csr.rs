@@ -539,6 +539,7 @@ impl CsrMatrix {
     /// Vector-matrix product `x^T * self` for a sparse vector; returns a
     /// sparse vector of dimension `ncols`. This is the single-source kernel:
     /// propagating one object's probability mass across one relation.
+    /// Sums come from [`CsrMatrix::vecmat_each`]; exact zeros are dropped.
     pub fn vecmat(&self, x: &SparseVec) -> Result<SparseVec> {
         if x.dim() != self.nrows {
             return Err(SparseError::DimensionMismatch {
@@ -547,15 +548,69 @@ impl CsrMatrix {
                 right: self.shape(),
             });
         }
-        let mut acc = std::collections::BTreeMap::<u32, f64>::new();
-        for (r, xv) in x.iter() {
+        let mut sums: Vec<(u32, f64)> = Vec::new();
+        self.vecmat_each(x.indices(), x.values(), |c, v| {
+            if v != 0.0 {
+                sums.push((c, v));
+            }
+        });
+        sums.sort_unstable_by_key(|&(c, _)| c);
+        let (indices, values): (Vec<u32>, Vec<f64>) = sums.into_iter().unzip();
+        Ok(SparseVec::from_parts(self.ncols, indices, values))
+    }
+
+    /// Accumulates the row-vector product `x^T * self` and calls
+    /// `emit(column, sum)` once for every column some stored entry of `x`
+    /// reaches, in first-reach order. Returns how many columns it emitted.
+    ///
+    /// `x` is given as parallel index/value slices with strictly
+    /// increasing indices below `nrows` (a CSR row or a [`SparseVec`]).
+    /// Each sum is built over ascending rows of `x`, starting from `0.0`,
+    /// so it is bitwise the sum an ordered map keyed by column would hold.
+    /// A stored zero in `x` still reaches its columns, which then sum to
+    /// zero.
+    ///
+    /// The dense accumulator comes from the pooled SpGEMM scratch: only
+    /// the reached slots are written and reset, so a call costs nothing in
+    /// proportion to `ncols` once the pooled record is wide enough.
+    ///
+    /// # Panics
+    /// Panics if an index of `x` is `nrows` or above.
+    pub fn vecmat_each(
+        &self,
+        x_indices: &[u32],
+        x_values: &[f64],
+        mut emit: impl FnMut(u32, f64),
+    ) -> usize {
+        let mut s = scratch::take(self.ncols);
+        s.stamp += 1;
+        let Scratch {
+            acc,
+            mark,
+            stamp,
+            touched,
+            ..
+        } = &mut s;
+        touched.clear();
+        for (&r, &xv) in x_indices.iter().zip(x_values) {
+            let r = r as usize;
             for (&c, &v) in self.row_indices(r).iter().zip(self.row_values(r)) {
-                *acc.entry(c).or_insert(0.0) += xv * v;
+                let ci = c as usize;
+                if mark[ci] != *stamp {
+                    mark[ci] = *stamp;
+                    touched.push(c);
+                }
+                acc[ci] += xv * v;
             }
         }
-        let (indices, values): (Vec<u32>, Vec<f64>) =
-            acc.into_iter().filter(|&(_, v)| v != 0.0).unzip();
-        Ok(SparseVec::from_parts(self.ncols, indices, values))
+        for &c in touched.iter() {
+            let ci = c as usize;
+            emit(c, acc[ci]);
+            acc[ci] = 0.0;
+        }
+        let reached = touched.len();
+        scratch::put(s);
+        reached
     }
 
     /// Row-stochastic normalization: each non-empty row is scaled to sum to

@@ -57,14 +57,15 @@ pub(crate) struct Scratch {
 impl Scratch {
     /// Grows the per-column structures to serve an output of `ncols`
     /// columns. Growth appends zeros, preserving the pool invariants.
+    /// The bitmap is cut to exactly `ncols` bits (its capacity stays):
+    /// the dense gather and the symbolic popcount scan all of it, so a
+    /// record last grown by a wider product would otherwise make every
+    /// row of a narrow product scan the wide width.
     fn ensure(&mut self, ncols: usize) {
         if self.acc.len() < ncols {
             self.acc.resize(ncols, 0.0);
         }
-        let words = ncols.div_ceil(64);
-        if self.mask.len() < words {
-            self.mask.resize(words, 0);
-        }
+        self.mask.resize(ncols.div_ceil(64), 0);
         if self.mark.len() < ncols {
             self.mark.resize(ncols, 0);
         }
@@ -135,13 +136,15 @@ mod tests {
     fn take_grows_and_put_pools() {
         let s = take(300);
         assert!(s.acc.len() >= 300);
-        assert!(s.mask.len() >= 300usize.div_ceil(64));
+        assert_eq!(s.mask.len(), 300usize.div_ceil(64));
         assert!(s.mark.len() >= 300);
         put(s);
         assert!(arena_resident_bytes() > 0);
-        // A reused record keeps (at least) its previous width.
+        // A reused record keeps (at least) its previous width, but its
+        // bitmap covers only the columns asked for.
         let again = take(10);
         assert!(again.acc.len() >= 10);
+        assert_eq!(again.mask.len(), 1);
         put(again);
     }
 

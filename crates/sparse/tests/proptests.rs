@@ -158,6 +158,45 @@ fn assert_two_phase_agrees(a: &CsrMatrix, b: &CsrMatrix) -> std::result::Result<
     Ok(())
 }
 
+/// The `BTreeMap` accumulation `CsrMatrix::vecmat` used before the pooled
+/// kernel, kept as its bit-identity oracle.
+fn btreemap_vecmat(m: &CsrMatrix, x: &SparseVec) -> SparseVec {
+    let mut acc = std::collections::BTreeMap::<u32, f64>::new();
+    for (r, xv) in x.iter() {
+        for (&c, &v) in m.row_indices(r).iter().zip(m.row_values(r)) {
+            *acc.entry(c).or_insert(0.0) += xv * v;
+        }
+    }
+    let (indices, values): (Vec<u32>, Vec<f64>) =
+        acc.into_iter().filter(|&(_, v)| v != 0.0).unzip();
+    SparseVec::from_parts(m.ncols(), indices, values)
+}
+
+/// A matrix and a row vector over its rows, with values whose sums round
+/// differently in different orders. Both may hold stored zeros, and
+/// negative entries let sums cancel to exactly zero.
+fn arb_vecmat_operands() -> impl Strategy<Value = (CsrMatrix, SparseVec)> {
+    const VALUES: [f64; 6] = [0.0, 0.1, 1.0 / 3.0, 0.7, -0.7, 1.0];
+    (1..=10usize, 1..=10usize).prop_flat_map(|(r, c)| {
+        (
+            proptest::collection::vec((0..r, 0..c, 0..VALUES.len()), 0..=40),
+            proptest::collection::vec((0..r, 0..VALUES.len()), 0..=10),
+        )
+            .prop_map(move |(triples, xs)| {
+                let mut coo = CooMatrix::new(r, c);
+                for (i, j, v) in triples {
+                    coo.push(i, j, VALUES[v]);
+                }
+                let mut x: Vec<(u32, f64)> =
+                    xs.into_iter().map(|(i, v)| (i as u32, VALUES[v])).collect();
+                x.sort_by_key(|&(i, _)| i);
+                x.dedup_by_key(|&mut (i, _)| i);
+                let (idx, vals) = x.into_iter().unzip();
+                (coo.to_csr(), SparseVec::from_parts(r, idx, vals))
+            })
+    })
+}
+
 proptest! {
     #[test]
     fn transpose_is_involution(m in arb_matrix(15, 40)) {
@@ -395,5 +434,26 @@ proptest! {
                 prop_assert_eq!(row.get(c), m.get(r, c));
             }
         }
+    }
+
+    #[test]
+    fn vecmat_matches_btreemap_bitwise((m, x) in arb_vecmat_operands()) {
+        let got = m.vecmat(&x).unwrap();
+        let want = btreemap_vecmat(&m, &x);
+        prop_assert_eq!(got.indices(), want.indices());
+        let bits = |v: &SparseVec| v.values().iter().map(|f| f.to_bits()).collect::<Vec<_>>();
+        prop_assert_eq!(bits(&got), bits(&want));
+    }
+
+    #[test]
+    fn vecmat_each_reaches_every_column_once((m, x) in arb_vecmat_operands()) {
+        let mut seen = Vec::new();
+        let n = m.vecmat_each(x.indices(), x.values(), |c, _| seen.push(c));
+        prop_assert_eq!(n, seen.len());
+        seen.sort_unstable();
+        let mut want: Vec<u32> = x.indices().iter().flat_map(|&r| m.row_indices(r as usize).to_vec()).collect();
+        want.sort_unstable();
+        want.dedup();
+        prop_assert_eq!(seen, want);
     }
 }
