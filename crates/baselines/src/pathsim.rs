@@ -33,7 +33,7 @@ impl<'a> PathSim<'a> {
             .iter()
             .map(|&s| self.hin.step_adjacency(s))
             .collect();
-        Ok(chain::multiply_chain(&mats).map_err(GraphError::from)?)
+        Ok(chain::multiply_chain(&mats, None, 1).map_err(GraphError::from)?)
     }
 
     fn require_symmetric(&self, path: &MetaPath) -> Result<()> {

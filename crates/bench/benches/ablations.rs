@@ -5,8 +5,7 @@
 //!   truncated approximate pairs,
 //! * parallel SpGEMM thread counts,
 //! * pruned top-k vs. full single-source scoring,
-//! * Definition-6 edge-object materialization vs. the fused closed form,
-//! * independent path builds vs. shared prefix products (Section 4.6).
+//! * Definition-6 edge-object materialization vs. the fused closed form.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use hetesim_bench::datasets::{acm_dataset, Scale};
@@ -27,7 +26,7 @@ fn bench_chain_order(c: &mut Criterion) {
     let refs: Vec<&CsrMatrix> = mats.iter().collect();
     let mut g = c.benchmark_group("chain_order");
     g.bench_function("optimized", |b| {
-        b.iter(|| black_box(chain::multiply_chain(&refs).unwrap()))
+        b.iter(|| black_box(chain::multiply_chain(&refs, None, 1).unwrap()))
     });
     g.bench_function("left_to_right", |b| {
         b.iter(|| black_box(chain::multiply_chain_left_to_right(&refs).unwrap()))
@@ -54,7 +53,7 @@ fn bench_cache(c: &mut Criterion) {
         b.iter(|| black_box(warm.pair(&path, star, kdd).unwrap()))
     });
     g.bench_function("online_propagation", |b| {
-        b.iter(|| black_box(warm.pair_online(&path, star, kdd).unwrap()))
+        b.iter(|| black_box(warm.pair_truncated(&path, star, kdd, usize::MAX).unwrap()))
     });
     g.bench_function("truncated_keep_16", |b| {
         b.iter(|| black_box(warm.pair_truncated(&path, star, kdd, 16).unwrap()))
@@ -118,43 +117,12 @@ fn bench_edge_split(c: &mut Criterion) {
     g.finish();
 }
 
-fn bench_prefix_reuse(c: &mut Criterion) {
-    // A workload of concatenable paths, as in Section 4.6: "the different
-    // partial paths can be concatenated to many relevance paths".
-    let acm = acm_dataset(Scale::Tiny);
-    let hin = &acm.hin;
-    let workload: Vec<_> = ["CVPA", "CVPAPA", "CVPAPVC", "APVC", "APVCVPA"]
-        .iter()
-        .map(|t| MetaPath::parse(hin.schema(), t).unwrap())
-        .collect();
-    let mut g = c.benchmark_group("prefix_reuse_workload");
-    g.sample_size(20);
-    g.bench_function("independent_paths", |b| {
-        b.iter(|| {
-            let engine = HeteSimEngine::new(hin);
-            for p in &workload {
-                black_box(engine.matrix(p).unwrap());
-            }
-        })
-    });
-    g.bench_function("shared_prefixes", |b| {
-        b.iter(|| {
-            let engine = HeteSimEngine::new(hin).reuse_prefixes(true);
-            for p in &workload {
-                black_box(engine.matrix(p).unwrap());
-            }
-        })
-    });
-    g.finish();
-}
-
 criterion_group!(
     benches,
     bench_chain_order,
     bench_cache,
     bench_parallel,
     bench_topk,
-    bench_edge_split,
-    bench_prefix_reuse
+    bench_edge_split
 );
 criterion_main!(benches);

@@ -1,8 +1,9 @@
+use crate::Result;
 use hetesim_obs::lockcheck::TrackedRwLock as RwLock;
 use hetesim_sparse::CsrMatrix;
-use std::collections::HashMap;
+use std::collections::hash_map::{Entry as MapEntry, HashMap};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, PoisonError};
+use std::sync::{Arc, OnceLock, PoisonError};
 
 pub use hetesim_obs::CacheStats;
 
@@ -45,22 +46,23 @@ impl Halves {
 /// A cached value plus the bookkeeping the byte-budgeted eviction policy
 /// needs: its residency and the logical clock of its last access.
 #[derive(Debug)]
-struct Entry<T> {
-    value: Arc<T>,
+struct Entry {
+    value: Arc<Halves>,
     bytes: u64,
     /// Logical access time (ticks of the cache-wide counter). Updated on
     /// every hit under the read lock, which is why it is atomic.
     last_used: AtomicU64,
 }
 
-impl<T> Entry<T> {
-    fn new(value: Arc<T>, bytes: u64, tick: u64) -> Self {
-        Entry {
-            value,
-            bytes,
-            last_used: AtomicU64::new(tick),
-        }
-    }
+/// The outcome of one build, shared by every caller that joined it.
+type Flight = OnceLock<Result<Arc<Halves>>>;
+
+/// What the map holds for a key: finished halves, or a build in flight
+/// that concurrent callers for the same key wait on.
+#[derive(Debug)]
+enum Slot {
+    Ready(Entry),
+    Building(Arc<Flight>),
 }
 
 /// A concurrent memo table from path cache keys to materialized halves,
@@ -73,27 +75,29 @@ impl<T> Entry<T> {
 /// `core.cache.prefix_cache.*` observability counters when metrics are
 /// enabled.
 ///
+/// # Single-flight builds
+///
+/// Concurrent misses on one key build its halves once: the first caller
+/// runs its build closure with no lock held, and the others wait for its
+/// result and share the same [`Arc`] (they count as hits). A failed build
+/// is not cached; every caller that joined it gets the error. If the
+/// building thread panics, one of the waiters runs its own closure.
+///
 /// # Byte budget
 ///
 /// [`PathCache::set_budget_bytes`] caps the approximate resident bytes of
-/// everything cached (half-path products and step-prefix products
-/// together). When an insert pushes residency past the cap, entries are
-/// evicted least-recently-used first — across both kinds of entry — until
-/// the cache fits again; each eviction increments the
-/// `core.cache.evictions` counter and the current residency is published
-/// as the `core.cache.resident_bytes` gauge. A value whose own footprint
-/// exceeds the whole budget is returned to the caller but never cached, so
-/// resident bytes never exceed the budget. Evicting an entry only drops
-/// the cache's reference: outstanding [`Arc`]s returned from earlier
-/// lookups keep their data alive until released, and a later lookup of an
-/// evicted key simply rebuilds it.
+/// the cached halves. When an insert pushes residency past the cap,
+/// entries are evicted least-recently-used first until the cache fits
+/// again; each eviction increments the `core.cache.evictions` counter and
+/// the current residency is published as the `core.cache.resident_bytes`
+/// gauge. A value whose own footprint exceeds the whole budget is returned
+/// to the caller but never cached, so resident bytes never exceed the
+/// budget. Evicting an entry only drops the cache's reference: outstanding
+/// [`Arc`]s returned from earlier lookups keep their data alive until
+/// released, and a later lookup of an evicted key simply rebuilds it.
 #[derive(Debug)]
 pub struct PathCache {
-    inner: RwLock<HashMap<String, Entry<Halves>>>,
-    /// Materialized products of step *prefixes* (Section 4.6,
-    /// optimization 2): `C-P-A` is computed once and reused by `C-P-A-P-A`,
-    /// `C-P-A-P-C`, … when prefix reuse is enabled on the engine.
-    partial: RwLock<HashMap<String, Entry<CsrMatrix>>>,
+    inner: RwLock<HashMap<String, Slot>>,
     hits: AtomicU64,
     misses: AtomicU64,
     /// Approximate resident bytes of everything cached.
@@ -111,7 +115,6 @@ impl Default for PathCache {
     fn default() -> PathCache {
         PathCache {
             inner: RwLock::named("core.cache.inner", HashMap::new()),
-            partial: RwLock::named("core.cache.partial", HashMap::new()),
             hits: AtomicU64::new(0),
             misses: AtomicU64::new(0),
             bytes: AtomicU64::new(0),
@@ -141,8 +144,7 @@ impl PathCache {
     pub fn set_budget_bytes(&self, budget_bytes: u64) {
         self.budget.store(budget_bytes, Ordering::Relaxed);
         let mut inner = self.inner.write().unwrap_or_else(PoisonError::into_inner);
-        let mut partial = self.partial.write().unwrap_or_else(PoisonError::into_inner);
-        self.evict_locked(&mut inner, &mut partial);
+        self.evict_locked(&mut inner);
     }
 
     /// The configured byte budget (`0` = unlimited).
@@ -164,43 +166,40 @@ impl PathCache {
         self.tick.fetch_add(1, Ordering::Relaxed)
     }
 
-    /// Evicts least-recently-used entries (across both maps) until
-    /// residency fits the budget again. Caller holds both write locks.
-    fn evict_locked(
-        &self,
-        inner: &mut HashMap<String, Entry<Halves>>,
-        partial: &mut HashMap<String, Entry<CsrMatrix>>,
-    ) {
+    /// Records a lookup answered without building and hands out `value`.
+    fn hit(&self, value: &Arc<Halves>) -> Arc<Halves> {
+        self.hits.fetch_add(1, Ordering::Relaxed);
+        hetesim_obs::add("core.cache.prefix_cache.hits", 1);
+        hetesim_obs::trace_event("core.cache.hit");
+        Arc::clone(value)
+    }
+
+    /// Evicts least-recently-used entries until residency fits the budget
+    /// again. Caller holds the write lock.
+    fn evict_locked(&self, inner: &mut HashMap<String, Slot>) {
         let budget = self.budget.load(Ordering::Relaxed);
         if budget == 0 {
             return;
         }
         while self.bytes.load(Ordering::Relaxed) > budget {
-            // LRU scan: entry counts are small (one per distinct path or
-            // prefix), so a linear pass beats maintaining an ordered
-            // structure under the read-mostly lock.
-            let oldest_half = inner
+            // LRU scan: entry counts are small (one per distinct path), so
+            // a linear pass beats maintaining an ordered structure under
+            // the read-mostly lock.
+            let oldest = inner
                 .iter()
-                .min_by_key(|(_, e)| e.last_used.load(Ordering::Relaxed))
-                .map(|(k, e)| (k.clone(), e.last_used.load(Ordering::Relaxed)));
-            let oldest_prefix = partial
-                .iter()
-                .min_by_key(|(_, e)| e.last_used.load(Ordering::Relaxed))
-                .map(|(k, e)| (k.clone(), e.last_used.load(Ordering::Relaxed)));
-            let freed = match (oldest_half, oldest_prefix) {
-                (Some((hk, ht)), Some((_, pt))) if ht <= pt => inner.remove(&hk).map(|e| e.bytes),
-                (Some(_), Some((pk, _))) => partial.remove(&pk).map(|e| e.bytes),
-                (Some((hk, _)), None) => inner.remove(&hk).map(|e| e.bytes),
-                (None, Some((pk, _))) => partial.remove(&pk).map(|e| e.bytes),
-                (None, None) => None,
-            };
-            match freed {
-                Some(bytes) => {
-                    self.bytes.fetch_sub(bytes, Ordering::Relaxed);
+                .filter_map(|(k, slot)| match slot {
+                    Slot::Ready(e) => Some((k, e.last_used.load(Ordering::Relaxed))),
+                    Slot::Building(_) => None,
+                })
+                .min_by_key(|&(_, tick)| tick)
+                .map(|(k, _)| k.clone());
+            match oldest.and_then(|k| inner.remove(&k)) {
+                Some(Slot::Ready(e)) => {
+                    self.bytes.fetch_sub(e.bytes, Ordering::Relaxed);
                     self.evictions.fetch_add(1, Ordering::Relaxed);
                     hetesim_obs::add("core.cache.evictions", 1);
                 }
-                None => break,
+                _ => break,
             }
         }
         hetesim_obs::set(
@@ -209,45 +208,88 @@ impl PathCache {
         );
     }
 
-    /// Fetches the halves for `key`, or builds and inserts them.
-    pub fn get_or_build<F, E>(&self, key: &str, build: F) -> Result<Arc<Halves>, E>
+    /// Stores `value` under `key` unless it is larger than the whole
+    /// budget, charging its bytes and evicting to fit. Caller holds the
+    /// write lock.
+    fn store_locked(&self, inner: &mut HashMap<String, Slot>, key: &str, value: Arc<Halves>) {
+        let bytes = value.mem_bytes() as u64;
+        let budget = self.budget.load(Ordering::Relaxed);
+        if budget != 0 && bytes > budget {
+            // Larger than the whole budget: the caller gets it uncached so
+            // residency never exceeds the cap.
+            return;
+        }
+        let entry = Entry {
+            value,
+            bytes,
+            last_used: AtomicU64::new(self.next_tick()),
+        };
+        if let Some(Slot::Ready(old)) = inner.insert(key.to_string(), Slot::Ready(entry)) {
+            self.bytes.fetch_sub(old.bytes, Ordering::Relaxed);
+        }
+        self.bytes.fetch_add(bytes, Ordering::Relaxed);
+        self.evict_locked(inner);
+    }
+
+    /// Fetches the halves for `key`, or builds and inserts them. Concurrent
+    /// callers that miss on the same key share one build (see the
+    /// type-level docs); `build` runs with no lock held.
+    pub fn get_or_build<F>(&self, key: &str, build: F) -> Result<Arc<Halves>>
     where
-        F: FnOnce() -> Result<Halves, E>,
+        F: FnOnce() -> Result<Halves>,
     {
-        if let Some(e) = self
+        if let Some(Slot::Ready(e)) = self
             .inner
             .read()
             .unwrap_or_else(PoisonError::into_inner)
             .get(key)
         {
             e.last_used.store(self.next_tick(), Ordering::Relaxed);
-            self.hits.fetch_add(1, Ordering::Relaxed);
-            hetesim_obs::add("core.cache.prefix_cache.hits", 1);
-            hetesim_obs::trace_event("core.cache.hit");
-            return Ok(Arc::clone(&e.value));
+            return Ok(self.hit(&e.value));
         }
-        // Build outside the lock; a racing duplicate build is acceptable
-        // (both produce identical data, last insert wins).
-        hetesim_obs::trace_event("core.cache.miss");
-        let built = Arc::new(build()?);
+        let flight = match self
+            .inner
+            .write()
+            .unwrap_or_else(PoisonError::into_inner)
+            .entry(key.to_string())
+        {
+            MapEntry::Occupied(slot) => match slot.get() {
+                Slot::Ready(e) => {
+                    e.last_used.store(self.next_tick(), Ordering::Relaxed);
+                    return Ok(self.hit(&e.value));
+                }
+                Slot::Building(flight) => Arc::clone(flight),
+            },
+            MapEntry::Vacant(slot) => {
+                let flight = Arc::new(Flight::new());
+                slot.insert(Slot::Building(Arc::clone(&flight)));
+                flight
+            }
+        };
+        // Blocks while another caller runs this flight's build.
+        let mut built = false;
+        let result = flight
+            .get_or_init(|| {
+                built = true;
+                hetesim_obs::trace_event("core.cache.miss");
+                build().map(Arc::new)
+            })
+            .clone();
+        if !built {
+            return result.map(|value| self.hit(&value));
+        }
         self.misses.fetch_add(1, Ordering::Relaxed);
         hetesim_obs::add("core.cache.prefix_cache.misses", 1);
-        let bytes = built.mem_bytes() as u64;
-        let budget = self.budget.load(Ordering::Relaxed);
-        if budget != 0 && bytes > budget {
-            // Larger than the whole budget: hand it to the caller uncached
-            // so residency never exceeds the cap.
-            return Ok(built);
-        }
-        let entry = Entry::new(Arc::clone(&built), bytes, self.next_tick());
         let mut inner = self.inner.write().unwrap_or_else(PoisonError::into_inner);
-        let mut partial = self.partial.write().unwrap_or_else(PoisonError::into_inner);
-        if let Some(old) = inner.insert(key.to_string(), entry) {
-            self.bytes.fetch_sub(old.bytes, Ordering::Relaxed);
+        // Publish only if the slot is still this flight: a `clear` or an
+        // `insert` during the build already replaced it.
+        if matches!(inner.get(key), Some(Slot::Building(f)) if Arc::ptr_eq(f, &flight)) {
+            inner.remove(key);
+            if let Ok(value) = &result {
+                self.store_locked(&mut inner, key, Arc::clone(value));
+            }
         }
-        self.bytes.fetch_add(bytes, Ordering::Relaxed);
-        self.evict_locked(&mut inner, &mut partial);
-        Ok(built)
+        result
     }
 
     /// Installs a pre-built entry under `key` — the snapshot warm-start
@@ -256,63 +298,8 @@ impl PathCache {
     /// [`PathCache::get_or_build`], including refusing to cache a value
     /// larger than the whole budget.
     pub fn insert(&self, key: &str, value: Arc<Halves>) {
-        let bytes = value.mem_bytes() as u64;
-        let budget = self.budget.load(Ordering::Relaxed);
-        if budget != 0 && bytes > budget {
-            return;
-        }
-        let entry = Entry::new(value, bytes, self.next_tick());
         let mut inner = self.inner.write().unwrap_or_else(PoisonError::into_inner);
-        let mut partial = self.partial.write().unwrap_or_else(PoisonError::into_inner);
-        if let Some(old) = inner.insert(key.to_string(), entry) {
-            self.bytes.fetch_sub(old.bytes, Ordering::Relaxed);
-        }
-        self.bytes.fetch_add(bytes, Ordering::Relaxed);
-        self.evict_locked(&mut inner, &mut partial);
-    }
-
-    /// Fetches a materialized step-prefix product, or builds and inserts
-    /// it. Prefix lookups are tracked separately from half-path lookups
-    /// (`core.cache.prefix.*` counters) so the two reuse mechanisms stay
-    /// distinguishable in metrics output.
-    pub fn get_or_build_partial<F, E>(&self, key: &str, build: F) -> Result<Arc<CsrMatrix>, E>
-    where
-        F: FnOnce() -> Result<CsrMatrix, E>,
-    {
-        if let Some(e) = self
-            .partial
-            .read()
-            .unwrap_or_else(PoisonError::into_inner)
-            .get(key)
-        {
-            e.last_used.store(self.next_tick(), Ordering::Relaxed);
-            hetesim_obs::add("core.cache.prefix.hits", 1);
-            return Ok(Arc::clone(&e.value));
-        }
-        let built = Arc::new(build()?);
-        hetesim_obs::add("core.cache.prefix.misses", 1);
-        let bytes = built.mem_bytes() as u64;
-        let budget = self.budget.load(Ordering::Relaxed);
-        if budget != 0 && bytes > budget {
-            return Ok(built);
-        }
-        let entry = Entry::new(Arc::clone(&built), bytes, self.next_tick());
-        let mut inner = self.inner.write().unwrap_or_else(PoisonError::into_inner);
-        let mut partial = self.partial.write().unwrap_or_else(PoisonError::into_inner);
-        if let Some(old) = partial.insert(key.to_string(), entry) {
-            self.bytes.fetch_sub(old.bytes, Ordering::Relaxed);
-        }
-        self.bytes.fetch_add(bytes, Ordering::Relaxed);
-        self.evict_locked(&mut inner, &mut partial);
-        Ok(built)
-    }
-
-    /// Number of materialized prefix products.
-    pub fn partial_len(&self) -> usize {
-        self.partial
-            .read()
-            .unwrap_or_else(PoisonError::into_inner)
-            .len()
+        self.store_locked(&mut inner, key, value);
     }
 
     /// Number of cached paths.
@@ -320,7 +307,9 @@ impl PathCache {
         self.inner
             .read()
             .unwrap_or_else(PoisonError::into_inner)
-            .len()
+            .values()
+            .filter(|slot| matches!(slot, Slot::Ready(_)))
+            .count()
     }
 
     /// True if nothing is cached.
@@ -329,28 +318,21 @@ impl PathCache {
     }
 
     /// Counters and residency since construction or the last clear.
-    /// `hits`/`misses` count half-path lookups (prefix-product lookups are
-    /// reported through metrics only); `entries` counts both kinds of
-    /// cached object.
     pub fn stats(&self) -> CacheStats {
         CacheStats {
             hits: self.hits.load(Ordering::Relaxed),
             misses: self.misses.load(Ordering::Relaxed),
-            entries: (self.len() + self.partial_len()) as u64,
+            entries: self.len() as u64,
             bytes: self.bytes.load(Ordering::Relaxed),
         }
     }
 
-    /// Drops all cached halves and prefix products and resets counters.
-    /// Evicted entries are counted into `core.cache.prefix_cache.evictions`.
+    /// Drops all cached halves and resets counters. Evicted entries are
+    /// counted into `core.cache.prefix_cache.evictions`.
     pub fn clear(&self) {
-        let evicted = (self.len() + self.partial_len()) as u64;
+        let evicted = self.len() as u64;
         hetesim_obs::add("core.cache.prefix_cache.evictions", evicted);
         self.inner
-            .write()
-            .unwrap_or_else(PoisonError::into_inner)
-            .clear();
-        self.partial
             .write()
             .unwrap_or_else(PoisonError::into_inner)
             .clear();
@@ -364,6 +346,9 @@ impl PathCache {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::CoreError;
+    use std::sync::Barrier;
+    use std::time::Duration;
 
     fn dummy_halves() -> Halves {
         let m = CsrMatrix::identity(2);
@@ -381,7 +366,7 @@ mod tests {
         let cache = PathCache::new();
         let mut builds = 0;
         for _ in 0..3 {
-            let r: Result<_, ()> = cache.get_or_build("k", || {
+            let r = cache.get_or_build("k", || {
                 builds += 1;
                 Ok(dummy_halves())
             });
@@ -395,19 +380,90 @@ mod tests {
         assert!(stats.bytes > 0, "cached halves should report residency");
     }
 
+    fn boom() -> CoreError {
+        CoreError::NodeOutOfRange {
+            endpoint: "source",
+            index: 7,
+            count: 1,
+        }
+    }
+
     #[test]
     fn build_errors_are_propagated_and_not_cached() {
         let cache = PathCache::new();
-        let r: Result<Arc<Halves>, &str> = cache.get_or_build("k", || Err("boom"));
-        assert_eq!(r.unwrap_err(), "boom");
+        let r = cache.get_or_build("k", || Err(boom()));
+        assert_eq!(r.unwrap_err(), boom());
         assert!(cache.is_empty());
         assert_eq!(cache.stats().bytes, 0);
+    }
+
+    /// Runs `build` for one cold key from `THREADS` threads released
+    /// together, returning every thread's result and the number of builds.
+    fn race_one_key(
+        build: impl Fn() -> Result<Halves> + Sync,
+    ) -> (PathCache, Vec<Result<Arc<Halves>>>, usize) {
+        const THREADS: usize = 8;
+        let cache = PathCache::new();
+        let builds = AtomicU64::new(0);
+        let barrier = Barrier::new(THREADS);
+        let results = std::thread::scope(|scope| {
+            let workers: Vec<_> = (0..THREADS)
+                .map(|_| {
+                    scope.spawn(|| {
+                        barrier.wait();
+                        cache.get_or_build("cold", || {
+                            builds.fetch_add(1, Ordering::Relaxed);
+                            std::thread::sleep(Duration::from_millis(20));
+                            build()
+                        })
+                    })
+                })
+                .collect();
+            workers
+                .into_iter()
+                .map(|w| w.join().unwrap())
+                .collect::<Vec<_>>()
+        });
+        (cache, results, builds.into_inner() as usize)
+    }
+
+    #[test]
+    fn concurrent_misses_build_once() {
+        let (cache, results, builds) = race_one_key(|| Ok(dummy_halves()));
+        assert_eq!(builds, 1);
+        let first = results[0].as_ref().unwrap();
+        for r in &results {
+            assert!(Arc::ptr_eq(first, r.as_ref().unwrap()));
+        }
+        let stats = cache.stats();
+        assert_eq!(stats.misses, 1);
+        assert_eq!(stats.hits, results.len() as u64 - 1);
+        assert_eq!(cache.len(), 1);
+    }
+
+    #[test]
+    fn failed_flight_errors_every_caller_and_caches_nothing() {
+        let (cache, results, builds) = race_one_key(|| Err(boom()));
+        assert_eq!(builds, 1);
+        for r in &results {
+            assert_eq!(r.as_ref().unwrap_err(), &boom());
+        }
+        assert!(cache.is_empty());
+        assert_eq!(cache.resident_bytes(), 0);
+        // The next lookup starts a new flight.
+        let mut rebuilt = false;
+        let _ = cache.get_or_build("cold", || {
+            rebuilt = true;
+            Ok(dummy_halves())
+        });
+        assert!(rebuilt);
+        assert_eq!(cache.len(), 1);
     }
 
     #[test]
     fn clear_resets() {
         let cache = PathCache::new();
-        let _: Result<_, ()> = cache.get_or_build("k", || Ok(dummy_halves()));
+        let _ = cache.get_or_build("k", || Ok(dummy_halves()));
         cache.clear();
         assert!(cache.is_empty());
         assert_eq!(cache.stats(), CacheStats::default());
@@ -416,22 +472,10 @@ mod tests {
     #[test]
     fn distinct_keys_distinct_entries() {
         let cache = PathCache::new();
-        let _: Result<_, ()> = cache.get_or_build("a", || Ok(dummy_halves()));
-        let _: Result<_, ()> = cache.get_or_build("b", || Ok(dummy_halves()));
+        let _ = cache.get_or_build("a", || Ok(dummy_halves()));
+        let _ = cache.get_or_build("b", || Ok(dummy_halves()));
         assert_eq!(cache.len(), 2);
         assert_eq!(cache.stats().entries, 2);
-    }
-
-    #[test]
-    fn partial_entries_count_into_stats() {
-        let cache = PathCache::new();
-        let _: Result<_, ()> = cache.get_or_build_partial("p", || Ok(CsrMatrix::identity(3)));
-        let _: Result<_, ()> = cache.get_or_build_partial("p", || Ok(CsrMatrix::identity(3)));
-        let stats = cache.stats();
-        assert_eq!(stats.entries, 1);
-        // Half-path hit/miss counters are untouched by prefix lookups.
-        assert_eq!((stats.hits, stats.misses), (0, 0));
-        assert!(stats.bytes > 0);
     }
 
     /// Bytes one dummy halves entry occupies, as the cache accounts it.
@@ -445,7 +489,7 @@ mod tests {
         // Room for exactly two entries.
         let cache = PathCache::with_budget_bytes(2 * per);
         for i in 0..10 {
-            let _: Result<_, ()> = cache.get_or_build(&i.to_string(), || Ok(dummy_halves()));
+            let _ = cache.get_or_build(&i.to_string(), || Ok(dummy_halves()));
             assert!(
                 cache.resident_bytes() <= cache.budget_bytes(),
                 "after insert {i}: resident {} > budget {}",
@@ -461,16 +505,16 @@ mod tests {
     fn eviction_is_least_recently_used() {
         let per = entry_bytes();
         let cache = PathCache::with_budget_bytes(2 * per);
-        let _: Result<_, ()> = cache.get_or_build("a", || Ok(dummy_halves()));
-        let _: Result<_, ()> = cache.get_or_build("b", || Ok(dummy_halves()));
+        let _ = cache.get_or_build("a", || Ok(dummy_halves()));
+        let _ = cache.get_or_build("b", || Ok(dummy_halves()));
         // Touch "a" so "b" becomes the LRU entry.
-        let _: Result<_, ()> = cache.get_or_build("a", || panic!("a should be cached"));
-        let _: Result<_, ()> = cache.get_or_build("c", || Ok(dummy_halves()));
+        let _ = cache.get_or_build("a", || panic!("a should be cached"));
+        let _ = cache.get_or_build("c", || Ok(dummy_halves()));
         // "b" was evicted; "a" and "c" survive.
-        let _: Result<_, ()> = cache.get_or_build("a", || panic!("a should have survived"));
-        let _: Result<_, ()> = cache.get_or_build("c", || panic!("c should have survived"));
+        let _ = cache.get_or_build("a", || panic!("a should have survived"));
+        let _ = cache.get_or_build("c", || panic!("c should have survived"));
         let mut rebuilt = false;
-        let _: Result<_, ()> = cache.get_or_build("b", || {
+        let _ = cache.get_or_build("b", || {
             rebuilt = true;
             Ok(dummy_halves())
         });
@@ -481,11 +525,11 @@ mod tests {
     fn evicted_path_is_rebuilt_correctly() {
         let per = entry_bytes();
         let cache = PathCache::with_budget_bytes(per);
-        let _: Result<_, ()> = cache.get_or_build("a", || Ok(dummy_halves()));
+        let _ = cache.get_or_build("a", || Ok(dummy_halves()));
         // Inserting "b" evicts "a" (budget fits one entry).
-        let _: Result<_, ()> = cache.get_or_build("b", || Ok(dummy_halves()));
+        let _ = cache.get_or_build("b", || Ok(dummy_halves()));
         assert_eq!(cache.len(), 1);
-        let again: Result<_, ()> = cache.get_or_build("a", || Ok(dummy_halves()));
+        let again = cache.get_or_build("a", || Ok(dummy_halves()));
         let h = again.unwrap();
         // The rebuilt entry carries full, correct data.
         assert_eq!(h.left.nrows(), 2);
@@ -497,26 +541,10 @@ mod tests {
     fn oversized_entry_is_served_but_not_cached() {
         let per = entry_bytes();
         let cache = PathCache::with_budget_bytes(per / 2);
-        let r: Result<_, ()> = cache.get_or_build("big", || Ok(dummy_halves()));
+        let r = cache.get_or_build("big", || Ok(dummy_halves()));
         assert_eq!(r.unwrap().left.nrows(), 2);
         assert!(cache.is_empty());
         assert_eq!(cache.resident_bytes(), 0);
-    }
-
-    #[test]
-    fn prefix_products_share_the_budget() {
-        let halves = entry_bytes();
-        // Two halves entries fit; a halves entry plus the (smaller) prefix
-        // product also fits, but all three together do not.
-        let cache = PathCache::with_budget_bytes(2 * halves);
-        let _: Result<_, ()> = cache.get_or_build_partial("p", || Ok(CsrMatrix::identity(3)));
-        let _: Result<_, ()> = cache.get_or_build("h", || Ok(dummy_halves()));
-        assert_eq!((cache.len(), cache.partial_len()), (1, 1));
-        // A second halves entry must push out the (older) prefix product.
-        let _: Result<_, ()> = cache.get_or_build("h2", || Ok(dummy_halves()));
-        assert!(cache.resident_bytes() <= cache.budget_bytes());
-        assert_eq!(cache.partial_len(), 0);
-        assert_eq!(cache.len(), 2);
     }
 
     #[test]
@@ -524,7 +552,7 @@ mod tests {
         let per = entry_bytes();
         let cache = PathCache::new();
         for key in ["a", "b", "c"] {
-            let _: Result<_, ()> = cache.get_or_build(key, || Ok(dummy_halves()));
+            let _ = cache.get_or_build(key, || Ok(dummy_halves()));
         }
         assert_eq!(cache.resident_bytes(), 3 * per);
         cache.set_budget_bytes(per);
@@ -537,7 +565,7 @@ mod tests {
     fn zero_budget_means_unlimited() {
         let cache = PathCache::with_budget_bytes(0);
         for i in 0..20 {
-            let _: Result<_, ()> = cache.get_or_build(&i.to_string(), || Ok(dummy_halves()));
+            let _ = cache.get_or_build(&i.to_string(), || Ok(dummy_halves()));
         }
         assert_eq!(cache.len(), 20);
         assert_eq!(cache.evictions(), 0);

@@ -1,24 +1,10 @@
 use crate::cache::{CacheStats, Halves, PathCache};
-use crate::decompose::{decompose, edge_split};
-use crate::reachable::{normalize_chain, propagate};
+use crate::decompose::decompose;
+use crate::reachable::normalize_chain;
 use crate::{CoreError, Result};
-use hetesim_graph::{Direction, Hin, MetaPath, Step};
-use hetesim_sparse::{parallel, CooMatrix, CsrMatrix, SparseVec};
+use hetesim_graph::{Hin, MetaPath};
+use hetesim_sparse::{chain, parallel, CooMatrix, CsrMatrix, SparseVec};
 use std::sync::Arc;
-
-/// Cache key of a step sequence (same format as `MetaPath::cache_key`,
-/// but computable for arbitrary sub-slices).
-fn steps_key(steps: &[Step]) -> String {
-    let mut s = String::new();
-    for step in steps {
-        s.push(match step.dir {
-            Direction::Forward => '+',
-            Direction::Backward => '-',
-        });
-        s.push_str(&step.rel.index().to_string());
-    }
-    s
-}
 
 /// The HeteSim query engine.
 ///
@@ -35,7 +21,6 @@ pub struct HeteSimEngine<'a> {
     hin: &'a Hin,
     cache: PathCache,
     threads: usize,
-    reuse_prefixes: bool,
 }
 
 impl<'a> HeteSimEngine<'a> {
@@ -62,34 +47,18 @@ impl<'a> HeteSimEngine<'a> {
             } else {
                 threads
             },
-            reuse_prefixes: false,
         }
-    }
-
-    /// Enables prefix-product reuse (Section 4.6, optimization 2): the
-    /// transition products of step prefixes are materialized once and
-    /// shared across concatenable paths (`C-P-A` serves `C-P-A-P-A`,
-    /// `C-P-A-P-C`, …). Trades the chain-order optimization for reuse —
-    /// worthwhile when many related paths are queried against one network.
-    pub fn reuse_prefixes(mut self, on: bool) -> Self {
-        self.reuse_prefixes = on;
-        self
     }
 
     /// Caps the path cache at approximately `budget_bytes` resident bytes
     /// (`0` = unlimited, the default). Once the cap is reached, the least
-    /// recently used half-path or prefix products are evicted; re-querying
+    /// recently used half-path products are evicted; re-querying
     /// an evicted path transparently rebuilds it. This is what makes
     /// long-running servers safe on bounded memory — see
     /// [`PathCache`] for the eviction policy.
     pub fn with_cache_budget(self, budget_bytes: u64) -> Self {
         self.cache.set_budget_bytes(budget_bytes);
         self
-    }
-
-    /// Number of materialized prefix products currently cached.
-    pub fn prefix_cache_len(&self) -> usize {
-        self.cache.partial_len()
     }
 
     /// Pre-materializes the half-path products of `path` so later queries
@@ -142,22 +111,6 @@ impl<'a> HeteSimEngine<'a> {
         Ok(())
     }
 
-    /// Materialized product of the row-stochastic transitions of a step
-    /// sequence, reusing the longest cached prefix.
-    fn prefix_product(&self, steps: &[Step]) -> Result<Arc<CsrMatrix>> {
-        debug_assert!(!steps.is_empty());
-        let key = steps_key(steps);
-        self.cache.get_or_build_partial(&key, || {
-            let last = self.hin.step_transition(steps[steps.len() - 1]);
-            if steps.len() == 1 {
-                Ok::<_, CoreError>(last)
-            } else {
-                let prefix = self.prefix_product(&steps[..steps.len() - 1])?;
-                Ok(parallel::matmul_parallel(&prefix, &last, self.threads)?)
-            }
-        })
-    }
-
     /// The underlying network.
     pub fn hin(&self) -> &'a Hin {
         self.hin
@@ -171,16 +124,6 @@ impl<'a> HeteSimEngine<'a> {
     /// Configured cache budget in bytes (`0` = unlimited).
     pub fn cache_budget_bytes(&self) -> u64 {
         self.cache.budget_bytes()
-    }
-
-    /// `(hits, misses)` of the half-path cache.
-    #[deprecated(
-        since = "0.1.0",
-        note = "use `cache_stats`, which also reports entries and bytes"
-    )]
-    pub fn cache_stats_tuple(&self) -> (u64, u64) {
-        let s = self.cache.stats();
-        (s.hits, s.misses)
     }
 
     /// Drops all memoized half-path products.
@@ -199,62 +142,7 @@ impl<'a> HeteSimEngine<'a> {
     fn chain_product_fused(&self, mats: &[CsrMatrix], divisors: &[Vec<f64>]) -> Result<CsrMatrix> {
         let refs: Vec<&CsrMatrix> = mats.iter().collect();
         let divs: Vec<&[f64]> = divisors.iter().map(|d| d.as_slice()).collect();
-        Ok(hetesim_sparse::chain::multiply_chain_fused_threaded(
-            &refs,
-            &divs,
-            self.threads,
-        )?)
-    }
-
-    /// Builds the two half-products through the prefix cache
-    /// (`reuse_prefixes` mode): pure-step prefixes are shared across
-    /// paths; odd paths append the edge-object split as a final factor.
-    fn build_halves_prefix(&self, path: &MetaPath) -> Result<(CsrMatrix, CsrMatrix)> {
-        let steps = path.steps();
-        let l = steps.len();
-        if l % 2 == 0 {
-            let mid = l / 2;
-            let left = (*self.prefix_product(&steps[..mid])?).clone();
-            let rsteps: Vec<Step> = steps[mid..].iter().rev().map(|s| s.reversed()).collect();
-            let right = (*self.prefix_product(&rsteps)?).clone();
-            Ok((left, right))
-        } else {
-            let ms = l / 2;
-            let (ae, eb) = edge_split(self.hin.step_adjacency(steps[ms]));
-            // When a prefix product consumes the split factor, its row
-            // normalization is fused into that multiplication (the divisors
-            // scale the right operand's values in-flight — bit-identical to
-            // multiplying the materialized row_normalized factor). Only a
-            // split factor that *is* the returned half is materialized.
-            let left = if ms == 0 {
-                ae.row_normalized_threaded(self.threads)
-            } else {
-                let prefix = self.prefix_product(&steps[..ms])?;
-                parallel::matmul_parallel_fused(
-                    &prefix,
-                    &ae,
-                    None,
-                    Some(&ae.row_sum_divisors()),
-                    self.threads,
-                )?
-            };
-            let eb_t = eb.transpose();
-            let right = if ms + 1 == l {
-                eb_t.row_normalized_threaded(self.threads)
-            } else {
-                let rsteps: Vec<Step> =
-                    steps[ms + 1..].iter().rev().map(|s| s.reversed()).collect();
-                let prefix = self.prefix_product(&rsteps)?;
-                parallel::matmul_parallel_fused(
-                    &prefix,
-                    &eb_t,
-                    None,
-                    Some(&eb_t.row_sum_divisors()),
-                    self.threads,
-                )?
-            };
-            Ok((left, right))
-        }
+        Ok(chain::multiply_chain(&refs, Some(&divs), self.threads)?)
     }
 
     /// Materializes (or fetches) the half-path products of a path.
@@ -266,10 +154,10 @@ impl<'a> HeteSimEngine<'a> {
                 steps = path.steps().len(),
                 odd = (path.steps().len() % 2) as u64,
             );
-            let (left, right) = if self.reuse_prefixes {
-                let _stage = hetesim_obs::span("core.engine.chain");
-                self.build_halves_prefix(path)?
-            } else {
+            // The chain factors and the stage span end with this block, so
+            // the cosine stage below neither holds them nor is timed as
+            // chain.
+            let (left, right) = {
                 let (ml, dl, mr, dr) = {
                     // Normalize stage: splitting the path into half chains
                     // and computing each factor's row-sum divisors. The
@@ -380,34 +268,15 @@ impl<'a> HeteSimEngine<'a> {
         Ok(h.left.row(a as usize).dot(&h.right.row(b as usize)))
     }
 
-    /// Normalized HeteSim of one pair computed *online*: both walkers'
-    /// distributions are propagated as sparse vectors without materializing
-    /// the half-path matrices. Cheaper for one-off queries on paths that
-    /// will not be reused; the ablation benches compare the two modes.
-    pub fn pair_online(&self, path: &MetaPath, a: u32, b: u32) -> Result<f64> {
-        let _span = hetesim_obs::span("core.engine.pair_online");
-        self.check_source(path, a)?;
-        self.check_target(path, b)?;
-        let d = decompose(self.hin, path)?;
-        let left = normalize_chain(d.left);
-        let right = normalize_chain(d.right_rev);
-        let la = propagate(
-            SparseVec::unit(self.hin.node_count(path.source_type()), a as usize),
-            &left,
-        )?;
-        let rb = propagate(
-            SparseVec::unit(self.hin.node_count(path.target_type()), b as usize),
-            &right,
-        )?;
-        Ok(la.cosine(&rb))
-    }
-
     /// Approximate normalized HeteSim of one pair: both walkers propagate
     /// online and their distributions are truncated to the `keep`
     /// largest-mass objects after every step (Section 4.6, optimization 3:
     /// "approximate algorithms … fasten the search with a small loss of
     /// accuracy"). With `keep >=` the widest distribution encountered this
-    /// is exact; smaller `keep` trades accuracy for bounded per-step work.
+    /// is exact, and `keep = usize::MAX` is the exact online pair: no
+    /// half-path matrices are built, which suits one-off queries on paths
+    /// that will not be reused. Smaller `keep` trades accuracy for bounded
+    /// per-step work.
     pub fn pair_truncated(&self, path: &MetaPath, a: u32, b: u32, keep: usize) -> Result<f64> {
         let _span = hetesim_obs::span!("core.engine.pair_truncated", keep = keep);
         self.check_source(path, a)?;
@@ -656,27 +525,6 @@ mod tests {
     }
 
     #[test]
-    fn online_pair_matches_cached_pair() {
-        let hin = fig4();
-        let e = HeteSimEngine::new(&hin);
-        for text in ["APC", "AP", "APAPC"] {
-            let path = MetaPath::parse(hin.schema(), text).unwrap();
-            let ns = hin.node_count(path.source_type());
-            let nt = hin.node_count(path.target_type());
-            for a in 0..ns as u32 {
-                for b in 0..nt as u32 {
-                    let cached = e.pair(&path, a, b).unwrap();
-                    let online = e.pair_online(&path, a, b).unwrap();
-                    assert!(
-                        (cached - online).abs() < 1e-12,
-                        "path {text} pair ({a},{b}): cached {cached} vs online {online}"
-                    );
-                }
-            }
-        }
-    }
-
-    #[test]
     fn atomic_relation_definition_7() {
         let hin = fig4();
         let e = HeteSimEngine::new(&hin);
@@ -856,35 +704,6 @@ mod tests {
     }
 
     #[test]
-    fn prefix_reuse_is_behavior_preserving() {
-        let hin = fig4();
-        let plain = HeteSimEngine::new(&hin);
-        let reuse = HeteSimEngine::new(&hin).reuse_prefixes(true);
-        for text in ["APC", "AP", "APA", "APAPC", "CPAPA"] {
-            let path = MetaPath::parse(hin.schema(), text).unwrap();
-            let a = plain.matrix(&path).unwrap();
-            let b = reuse.matrix(&path).unwrap();
-            assert!(
-                a.max_abs_diff(&b).unwrap() < 1e-12,
-                "path {text}: prefix-reuse result differs"
-            );
-        }
-        // Concatenable paths share prefixes: CPAPA and APAPC's reversed
-        // right halves overlap, so the prefix cache holds fewer entries
-        // than the total number of steps multiplied out.
-        assert!(reuse.prefix_cache_len() > 0);
-        let before = reuse.prefix_cache_len();
-        // Re-querying a longer path with a shared prefix reuses entries
-        // instead of rebuilding from scratch.
-        let apapa = MetaPath::parse(hin.schema(), "APAPA").unwrap();
-        let _ = reuse.matrix(&apapa).unwrap();
-        let after = reuse.prefix_cache_len();
-        // APAPA's halves (A-P and A-P reversed prefixes already cached)
-        // add at most one new prefix per side.
-        assert!(after - before <= 2, "before {before}, after {after}");
-    }
-
-    #[test]
     fn top_k_pairs_matches_matrix_maxima() {
         let hin = fig4();
         let e = HeteSimEngine::new(&hin);
@@ -937,16 +756,17 @@ mod tests {
     fn truncated_pair_exact_with_large_keep() {
         let hin = fig4();
         let e = HeteSimEngine::new(&hin);
-        for text in ["APC", "APAPC", "AP"] {
+        for text in ["APC", "AP", "APAPC"] {
             let path = MetaPath::parse(hin.schema(), text).unwrap();
-            for a in 0..3u32 {
-                let nt = hin.node_count(path.target_type()) as u32;
+            let ns = hin.node_count(path.source_type()) as u32;
+            let nt = hin.node_count(path.target_type()) as u32;
+            for a in 0..ns {
                 for b in 0..nt {
                     let exact = e.pair(&path, a, b).unwrap();
-                    let approx = e.pair_truncated(&path, a, b, 100).unwrap();
+                    let online = e.pair_truncated(&path, a, b, usize::MAX).unwrap();
                     assert!(
-                        (exact - approx).abs() < 1e-12,
-                        "path {text} ({a},{b}): exact {exact} vs truncated {approx}"
+                        (exact - online).abs() < 1e-12,
+                        "path {text} ({a},{b}): exact {exact} vs truncated {online}"
                     );
                 }
             }

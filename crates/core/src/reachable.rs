@@ -24,29 +24,12 @@ pub fn normalize_chain(mats: Vec<CsrMatrix>) -> Vec<CsrMatrix> {
     mats.into_iter().map(|m| m.row_normalized()).collect()
 }
 
-/// [`normalize_chain`] with each (large enough) matrix normalized by
-/// `threads` workers. Bit-identical to the serial version at every thread
-/// count — per-row normalization is order-preserving.
-///
-/// The engine's half-path builds no longer call this: they pass each
-/// factor's [`CsrMatrix::row_sum_divisors`] to the fused chain multiply
-/// (`hetesim_sparse::chain::multiply_chain_fused_threaded`), which applies
-/// the same divisions in-flight during the SpGEMM numeric phase instead of
-/// materializing the stochastic chain. This entry point remains for
-/// callers that need the normalized matrices themselves (vector
-/// propagation, tests, ablations).
-pub fn normalize_chain_threaded(mats: Vec<CsrMatrix>, threads: usize) -> Vec<CsrMatrix> {
-    mats.into_iter()
-        .map(|m| m.row_normalized_threaded(threads))
-        .collect()
-}
-
 /// Multiplies a chain of stochastic matrices into a single
 /// reachable-probability matrix, choosing the association order by the
 /// sparse cost model.
 pub fn product(mats: &[CsrMatrix]) -> Result<CsrMatrix> {
     let refs: Vec<&CsrMatrix> = mats.iter().collect();
-    Ok(chain::multiply_chain(&refs)?)
+    Ok(chain::multiply_chain(&refs, None, 1)?)
 }
 
 /// Computes the full reachable-probability matrix for a step sequence.

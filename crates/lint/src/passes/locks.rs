@@ -1,10 +1,10 @@
 //! L4 `lock-discipline` + L6 `lock-graph` — the workspace lock-order
 //! model.
 //!
-//! The deadlock the repo already dodged once: `PathCache::get_or_build`
-//! takes `inner.write()` and then `partial.write()` inside the same
+//! The deadlock the repo once had to dodge: `PathCache::get_or_build`
+//! took `inner.write()` and then `partial.write()` inside the same
 //! critical section; a second code path taking them in the opposite
-//! order would deadlock under load and no test would catch it. The old
+//! order would have deadlocked under load and no test would catch it. The old
 //! per-file pass only saw nesting inside one file; this version builds
 //! one directed graph over every lock in the workspace:
 //!

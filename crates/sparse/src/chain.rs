@@ -10,7 +10,7 @@
 //! [`multiply_chain`] picks the order with a classic matrix-chain dynamic
 //! program whose cost model estimates SpGEMM flops from matrix densities;
 //! [`multiply_chain_left_to_right`] is the naive order, kept public as the
-//! ablation baseline.
+//! test oracle and ablation baseline.
 
 use crate::{CsrMatrix, Result, SparseError};
 
@@ -49,7 +49,7 @@ fn combine(a: Estimate, b: Estimate) -> Estimate {
 
 /// Estimated flops below which a single product in a threaded chain
 /// execution is multiplied serially: the planner's estimate lets
-/// [`ChainPlan::execute_threaded`] skip even the exact flop count (and
+/// [`ChainPlan::execute`] skip even the exact flop count (and
 /// the symbolic pass behind it) for products that are obviously tiny.
 /// Matches the exact-count threshold inside `parallel::matmul_parallel`.
 const PARALLEL_EST_FLOP_THRESHOLD: f64 = (1u64 << 17) as f64;
@@ -62,7 +62,7 @@ pub struct ChainPlan {
     splits: Vec<Vec<usize>>,
     /// `mult_flops[i][j]`: estimated flops of the *final* multiply that
     /// produces the `i..=j` product (excluding its sub-products), used by
-    /// [`ChainPlan::execute_threaded`] to decide serial vs parallel per
+    /// [`ChainPlan::execute`] to decide serial vs parallel per
     /// node without touching the matrices.
     mult_flops: Vec<Vec<f64>>,
     len: usize,
@@ -127,180 +127,114 @@ impl ChainPlan {
         })
     }
 
-    fn execute_range(
+    /// The product of `mats[i..=j]` in the plan's order, as an operand of
+    /// the product that consumes it. A leaf is borrowed with its divisors
+    /// still pending: in the plan's binary tree every leaf is consumed by
+    /// exactly one product, so its divisors are applied exactly once —
+    /// fused into that product. Interior results carry no divisor.
+    fn operand<'m>(
         &self,
-        mats: &[&CsrMatrix],
+        mats: &[&'m CsrMatrix],
+        divisors: Option<&[&'m [f64]]>,
         i: usize,
         j: usize,
         threads: usize,
-    ) -> Result<CsrMatrix> {
+    ) -> Result<Operand<'m>> {
         if i == j {
-            return Ok(mats[i].clone());
+            return Ok(Operand::Leaf(mats[i], divisors.map(|d| d[i])));
         }
         let k = self.splits[i][j];
-        let left = self.execute_range(mats, i, k, threads)?;
-        let right = self.execute_range(mats, k + 1, j, threads)?;
+        let left = self.operand(mats, divisors, i, k, threads)?;
+        let right = self.operand(mats, divisors, k + 1, j, threads)?;
+        let (lm, ld) = left.parts();
+        let (rm, rd) = right.parts();
         // The planner's flop estimate gates the parallel kernel so tiny
         // products skip even the exact flop count of its symbolic pass;
-        // `matmul_parallel` re-checks with exact counts and may still fall
-        // back, so a high estimate can never force a slow parallel run.
-        if threads > 1 && self.mult_flops[i][j] >= PARALLEL_EST_FLOP_THRESHOLD {
-            crate::parallel::matmul_parallel(&left, &right, threads)
+        // `matmul_parallel_fused` re-checks with exact counts and may
+        // still fall back, so a high estimate can never force a slow
+        // parallel run.
+        let product = if threads > 1 && self.mult_flops[i][j] >= PARALLEL_EST_FLOP_THRESHOLD {
+            crate::parallel::matmul_parallel_fused(lm, rm, ld, rd, threads)?
         } else {
-            left.matmul(&right)
-        }
-    }
-
-    fn fused_operand(
-        &self,
-        mats: &[&CsrMatrix],
-        divisors: &[&[f64]],
-        i: usize,
-        j: usize,
-        threads: usize,
-    ) -> Result<Operand> {
-        if i == j {
-            Ok(Operand::Leaf(i))
-        } else {
-            Ok(Operand::Prod(
-                self.execute_range_fused(mats, divisors, i, j, threads)?,
-            ))
-        }
-    }
-
-    fn execute_range_fused(
-        &self,
-        mats: &[&CsrMatrix],
-        divisors: &[&[f64]],
-        i: usize,
-        j: usize,
-        threads: usize,
-    ) -> Result<CsrMatrix> {
-        if i == j {
-            // A chain of one matrix has no product to fuse the divisors
-            // into; materialize the normalization by division (bitwise
-            // equal to `row_normalized`, see `row_sum_divisors`).
-            return Ok(mats[i].rows_divided(divisors[i]));
-        }
-        let k = self.splits[i][j];
-        // In the plan's binary tree every leaf is consumed by exactly one
-        // product, so its divisors are applied exactly once — fused into
-        // that product. Interior results are already normalized products
-        // and carry no divisor.
-        let left = self.fused_operand(mats, divisors, i, k, threads)?;
-        let right = self.fused_operand(mats, divisors, k + 1, j, threads)?;
-        let (lm, ld) = left.parts(mats, divisors);
-        let (rm, rd) = right.parts(mats, divisors);
-        if threads > 1 && self.mult_flops[i][j] >= PARALLEL_EST_FLOP_THRESHOLD {
-            crate::parallel::matmul_parallel_fused(lm, rm, ld, rd, threads)
-        } else {
-            lm.matmul_fused(rm, ld, rd)
-        }
-    }
-
-    /// Executes the plan with each leaf's rows divided by its divisor
-    /// slice, the division fused into the product that consumes the leaf
-    /// (see [`multiply_chain_fused_threaded`]).
-    pub fn execute_fused_threaded(
-        &self,
-        mats: &[&CsrMatrix],
-        divisors: &[&[f64]],
-        threads: usize,
-    ) -> Result<CsrMatrix> {
-        assert_eq!(mats.len(), self.len, "plan arity mismatch");
-        assert_eq!(divisors.len(), self.len, "one divisor slice per matrix");
-        for (m, d) in mats.iter().zip(divisors) {
-            assert_eq!(d.len(), m.nrows(), "divisor length mismatch");
-        }
-        self.execute_range_fused(mats, divisors, 0, self.len - 1, threads.max(1))
+            lm.matmul_fused(rm, ld, rd)?
+        };
+        Ok(Operand::Prod(product))
     }
 
     /// Executes the plan over the given matrices (which must match the
-    /// shapes the plan was made from).
-    pub fn execute(&self, mats: &[&CsrMatrix]) -> Result<CsrMatrix> {
+    /// shapes the plan was made from), with `threads` workers on every
+    /// product whose estimated flops clear the parallel threshold.
+    ///
+    /// With `divisors`, each leaf's rows are divided by its divisor
+    /// slice, the division fused into the product that consumes the leaf
+    /// (see [`multiply_chain`]). The association order is the plan's
+    /// regardless of `threads`, and the parallel kernel is bit-identical
+    /// to the serial one, so the result is the same at every thread
+    /// count.
+    pub fn execute(
+        &self,
+        mats: &[&CsrMatrix],
+        divisors: Option<&[&[f64]]>,
+        threads: usize,
+    ) -> Result<CsrMatrix> {
         assert_eq!(mats.len(), self.len, "plan arity mismatch");
-        self.execute_range(mats, 0, self.len - 1, 1)
-    }
-
-    /// Executes the plan with `threads` workers on every product whose
-    /// estimated flops clear the parallel threshold. The association
-    /// order is the plan's regardless of `threads`, and the parallel
-    /// kernel is bit-identical to the serial one, so the result equals
-    /// [`ChainPlan::execute`] exactly at every thread count.
-    pub fn execute_threaded(&self, mats: &[&CsrMatrix], threads: usize) -> Result<CsrMatrix> {
-        assert_eq!(mats.len(), self.len, "plan arity mismatch");
-        self.execute_range(mats, 0, self.len - 1, threads.max(1))
+        if let Some(divisors) = divisors {
+            assert_eq!(divisors.len(), self.len, "one divisor slice per matrix");
+            for (m, d) in mats.iter().zip(divisors) {
+                assert_eq!(d.len(), m.nrows(), "divisor length mismatch");
+            }
+        }
+        Ok(
+            match self.operand(mats, divisors, 0, self.len - 1, threads.max(1))? {
+                Operand::Prod(m) => m,
+                // A chain of one matrix has no product to fuse the
+                // divisors into; materialize the normalization by division
+                // (bitwise equal to `row_normalized`, see
+                // `row_sum_divisors`).
+                Operand::Leaf(m, Some(d)) => m.rows_divided(d),
+                Operand::Leaf(m, None) => m.clone(),
+            },
+        )
     }
 }
 
-/// An operand of a fused chain product: either an original (leaf) matrix
-/// whose row divisors are still pending — they get fused into the one
-/// product that consumes the leaf — or an already-normalized intermediate
-/// product.
-enum Operand {
-    Leaf(usize),
+/// An operand of a chain product: either an original (leaf) matrix with
+/// the divisors, if any, still to be fused into the one product that
+/// consumes it, or an intermediate product.
+enum Operand<'m> {
+    Leaf(&'m CsrMatrix, Option<&'m [f64]>),
     Prod(CsrMatrix),
 }
 
-impl Operand {
-    /// The operand's matrix and the divisors (if any) still to be fused
-    /// into the next product.
-    fn parts<'s>(
-        &'s self,
-        mats: &[&'s CsrMatrix],
-        divisors: &[&'s [f64]],
-    ) -> (&'s CsrMatrix, Option<&'s [f64]>) {
+impl Operand<'_> {
+    /// The operand's matrix and the divisors still to be fused into the
+    /// next product.
+    fn parts(&self) -> (&CsrMatrix, Option<&[f64]>) {
         match self {
-            Operand::Leaf(i) => (mats[*i], Some(divisors[*i])),
+            Operand::Leaf(m, d) => (m, *d),
             Operand::Prod(m) => (m, None),
         }
     }
 }
 
-/// Multiplies a chain of matrices in the cost-model-optimal order.
-pub fn multiply_chain(mats: &[&CsrMatrix]) -> Result<CsrMatrix> {
-    let _span = hetesim_obs::span!(
-        "sparse.chain.multiply",
-        len = mats.len(),
-        total_nnz = mats.iter().map(|m| m.nnz()).sum::<usize>(),
-    );
-    let shapes: Vec<(usize, usize)> = mats.iter().map(|m| m.shape()).collect();
-    let densities: Vec<f64> = mats.iter().map(|m| m.density()).collect();
-    let plan = ChainPlan::plan(&shapes, &densities)?;
-    plan.execute(mats)
-}
-
 /// Multiplies a chain of matrices in the cost-model-optimal order, using
 /// `threads` workers on every product big enough (by the planner's flop
-/// estimate) to amortize the parallel kernel. Bit-identical to
-/// [`multiply_chain`] at every thread count.
-pub fn multiply_chain_threaded(mats: &[&CsrMatrix], threads: usize) -> Result<CsrMatrix> {
-    let _span = hetesim_obs::span!(
-        "sparse.chain.multiply",
-        len = mats.len(),
-        total_nnz = mats.iter().map(|m| m.nnz()).sum::<usize>(),
-        threads = threads,
-    );
-    let shapes: Vec<(usize, usize)> = mats.iter().map(|m| m.shape()).collect();
-    let densities: Vec<f64> = mats.iter().map(|m| m.density()).collect();
-    let plan = ChainPlan::plan(&shapes, &densities)?;
-    plan.execute_threaded(mats, threads)
-}
-
-/// Multiplies a chain of row-rescaled matrices with the rescaling fused
-/// into the products: computes
+/// estimate) to amortize the parallel kernel. Bit-identical at every
+/// thread count.
+///
+/// With `divisors`, computes
 /// `rowdiv(mats[0], divisors[0]) · … · rowdiv(mats[n-1], divisors[n-1])`
 /// where `rowdiv` divides each row by its divisor, without materializing
 /// any rescaled matrix. With divisors from
 /// [`CsrMatrix::row_sum_divisors`] this is exactly the normalized
-/// transition-matrix chain of Definition 9 — bit-identical to
-/// normalizing every matrix first and calling
-/// [`multiply_chain_threaded`], because each stored value is divided
-/// once by the same divisor and the association order (planned from
-/// shapes and densities, which normalization preserves) is the same.
-pub fn multiply_chain_fused_threaded(
+/// transition-matrix chain of Definition 9 — bit-identical to normalizing
+/// every matrix first and multiplying with `divisors = None`, because
+/// each stored value is divided once by the same divisor and the
+/// association order (planned from shapes and densities, which
+/// normalization preserves) is the same.
+pub fn multiply_chain(
     mats: &[&CsrMatrix],
-    divisors: &[&[f64]],
+    divisors: Option<&[&[f64]]>,
     threads: usize,
 ) -> Result<CsrMatrix> {
     let _span = hetesim_obs::span!(
@@ -312,7 +246,7 @@ pub fn multiply_chain_fused_threaded(
     let shapes: Vec<(usize, usize)> = mats.iter().map(|m| m.shape()).collect();
     let densities: Vec<f64> = mats.iter().map(|m| m.density()).collect();
     let plan = ChainPlan::plan(&shapes, &densities)?;
-    plan.execute_fused_threaded(mats, divisors, threads)
+    plan.execute(mats, divisors, threads)
 }
 
 /// Multiplies a chain strictly left-to-right (ablation baseline).
@@ -332,10 +266,14 @@ mod tests {
     use crate::CooMatrix;
 
     fn random_like(nrows: usize, ncols: usize, step: usize) -> CsrMatrix {
+        random_rows(nrows, ncols, 2, step)
+    }
+
+    fn random_rows(nrows: usize, ncols: usize, per_row: usize, step: usize) -> CsrMatrix {
         let mut coo = CooMatrix::new(nrows, ncols);
         let mut x = 1usize;
         for r in 0..nrows {
-            for _ in 0..2 {
+            for _ in 0..per_row {
                 x = (x * 1103515245 + 12345 + step) % 2147483648;
                 let c = x % ncols;
                 coo.push(r, c, ((x % 7) + 1) as f64);
@@ -347,13 +285,16 @@ mod tests {
     #[test]
     fn single_matrix_chain() {
         let a = random_like(4, 5, 1);
-        assert_eq!(multiply_chain(&[&a]).unwrap(), a);
+        assert_eq!(multiply_chain(&[&a], None, 1).unwrap(), a);
         assert_eq!(multiply_chain_left_to_right(&[&a]).unwrap(), a);
     }
 
     #[test]
     fn empty_chain_is_error() {
-        assert!(matches!(multiply_chain(&[]), Err(SparseError::EmptyChain)));
+        assert!(matches!(
+            multiply_chain(&[], None, 1),
+            Err(SparseError::EmptyChain)
+        ));
         assert!(matches!(
             multiply_chain_left_to_right(&[]),
             Err(SparseError::EmptyChain)
@@ -364,7 +305,7 @@ mod tests {
     fn mismatched_chain_is_error() {
         let a = random_like(3, 4, 1);
         let b = random_like(5, 2, 2);
-        assert!(multiply_chain(&[&a, &b]).is_err());
+        assert!(multiply_chain(&[&a, &b], None, 1).is_err());
     }
 
     #[test]
@@ -373,36 +314,46 @@ mod tests {
         let b = random_like(30, 4, 2);
         let c = random_like(4, 25, 3);
         let d = random_like(25, 8, 4);
-        let opt = multiply_chain(&[&a, &b, &c, &d]).unwrap();
+        let opt = multiply_chain(&[&a, &b, &c, &d], None, 1).unwrap();
         let naive = multiply_chain_left_to_right(&[&a, &b, &c, &d]).unwrap();
         assert!(opt.max_abs_diff(&naive).unwrap() < 1e-9);
     }
 
     #[test]
     fn threaded_chain_matches_serial_exactly() {
-        let a = random_like(600, 400, 1);
-        let b = random_like(400, 500, 2);
-        let c = random_like(500, 300, 3);
-        let serial = multiply_chain(&[&a, &b, &c]).unwrap();
-        for threads in [1, 2, 4, 7] {
-            let par = multiply_chain_threaded(&[&a, &b, &c], threads).unwrap();
+        let a = random_rows(600, 400, 30, 1);
+        let b = random_rows(400, 500, 30, 2);
+        let c = random_rows(500, 300, 30, 3);
+        let mats = [&a, &b, &c];
+        // Dense enough that some product clears the parallel threshold.
+        let shapes: Vec<(usize, usize)> = mats.iter().map(|m| m.shape()).collect();
+        let densities: Vec<f64> = mats.iter().map(|m| m.density()).collect();
+        let plan = ChainPlan::plan(&shapes, &densities).unwrap();
+        assert!(plan
+            .mult_flops
+            .iter()
+            .flatten()
+            .any(|&f| f >= PARALLEL_EST_FLOP_THRESHOLD));
+        let serial = multiply_chain(&mats, None, 1).unwrap();
+        for threads in [2, 4, 7] {
+            let par = multiply_chain(&mats, None, threads).unwrap();
             assert_eq!(par, serial, "threads={threads}");
         }
     }
 
     #[test]
     fn fused_chain_matches_normalize_then_multiply() {
-        let a = random_like(600, 400, 1);
-        let b = random_like(400, 500, 2);
-        let c = random_like(500, 300, 3);
+        let a = random_rows(600, 400, 30, 1);
+        let b = random_rows(400, 500, 30, 2);
+        let c = random_rows(500, 300, 30, 3);
         let mats = [&a, &b, &c];
         let normalized: Vec<CsrMatrix> = mats.iter().map(|m| m.row_normalized()).collect();
         let norm_refs: Vec<&CsrMatrix> = normalized.iter().collect();
         let divisors: Vec<Vec<f64>> = mats.iter().map(|m| m.row_sum_divisors()).collect();
         let div_refs: Vec<&[f64]> = divisors.iter().map(|d| d.as_slice()).collect();
-        let expect = multiply_chain(&norm_refs).unwrap();
+        let expect = multiply_chain(&norm_refs, None, 1).unwrap();
         for threads in [1, 2, 4] {
-            let fused = multiply_chain_fused_threaded(&mats, &div_refs, threads).unwrap();
+            let fused = multiply_chain(&mats, Some(&div_refs), threads).unwrap();
             assert_eq!(fused, expect, "threads={threads}");
         }
     }
@@ -416,7 +367,7 @@ mod tests {
         coo.push(2, 1, 5.0);
         let a = coo.to_csr();
         let div = a.row_sum_divisors();
-        let fused = multiply_chain_fused_threaded(&[&a], &[&div], 4).unwrap();
+        let fused = multiply_chain(&[&a], Some(&[&div]), 4).unwrap();
         assert_eq!(fused, a.row_normalized());
     }
 

@@ -38,6 +38,25 @@ fn arb_pair() -> impl Strategy<Value = (CsrMatrix, CsrMatrix)> {
     })
 }
 
+/// A chain of 1–4 matrices with compatible inner dimensions.
+fn arb_chain() -> impl Strategy<Value = Vec<CsrMatrix>> {
+    proptest::collection::vec(1..=12usize, 2..=5).prop_flat_map(|dims| {
+        let entries = proptest::collection::vec((0..12usize, 0..12usize, 1u8..=9), 0..=30);
+        proptest::collection::vec(entries, dims.len() - 1).prop_map(move |mats| {
+            dims.windows(2)
+                .zip(mats)
+                .map(|(w, triples)| {
+                    let mut coo = CooMatrix::new(w[0], w[1]);
+                    for (i, j, v) in triples {
+                        coo.push(i % w[0], j % w[1], v as f64);
+                    }
+                    coo.to_csr()
+                })
+                .collect()
+        })
+    })
+}
+
 /// A pair of compatible matrices where the left factor is Zipf-like
 /// skewed: one hot row owns most of the entries (possibly all of them),
 /// the tail rows hold at most one entry each, and some rows are empty —
@@ -280,7 +299,7 @@ proptest! {
             coo.push(r, r % extra_cols, 1.0);
         }
         let c = coo.to_csr();
-        let opt = chain::multiply_chain(&[&a, &b, &c]).unwrap();
+        let opt = chain::multiply_chain(&[&a, &b, &c], None, 1).unwrap();
         let naive = chain::multiply_chain_left_to_right(&[&a, &b, &c]).unwrap();
         prop_assert!(opt.max_abs_diff(&naive).unwrap() < 1e-9);
     }
@@ -385,17 +404,21 @@ proptest! {
     }
 
     #[test]
-    fn fused_chain_matches_normalize_then_multiply((a, b) in arb_pair()) {
-        let da = a.row_sum_divisors();
-        let db = b.row_sum_divisors();
-        let fused =
-            chain::multiply_chain_fused_threaded(&[&a, &b], &[&da, &db], 2).unwrap();
-        let plain = chain::multiply_chain_threaded(
-            &[&a.row_normalized(), &b.row_normalized()],
-            2,
-        )
-        .unwrap();
-        prop_assert_eq!(fused, plain);
+    fn fused_chain_matches_normalize_then_multiply(mats in arb_chain()) {
+        // A chain of one matrix covers the leaf that is returned divided
+        // rather than fused into a product.
+        let refs: Vec<&CsrMatrix> = mats.iter().collect();
+        let divisors: Vec<Vec<f64>> = mats.iter().map(|m| m.row_sum_divisors()).collect();
+        let div_refs: Vec<&[f64]> = divisors.iter().map(|d| d.as_slice()).collect();
+        let normalized: Vec<CsrMatrix> = mats.iter().map(|m| m.row_normalized()).collect();
+        let norm_refs: Vec<&CsrMatrix> = normalized.iter().collect();
+        let plain = chain::multiply_chain(&norm_refs, None, 1).unwrap();
+        for threads in [1, 2, 4] {
+            let fused = chain::multiply_chain(&refs, Some(&div_refs), threads).unwrap();
+            prop_assert_eq!(&fused, &plain);
+            let unfused = chain::multiply_chain(&norm_refs, None, threads).unwrap();
+            prop_assert_eq!(&unfused, &plain);
+        }
     }
 
     #[test]
