@@ -1,6 +1,6 @@
 use hetesim_core::{CoreError, PathMeasure, Result};
 use hetesim_graph::{GraphError, Hin, MetaPath};
-use hetesim_sparse::{chain, CooMatrix, CsrMatrix};
+use hetesim_sparse::{chain, CsrMatrix};
 
 /// PathSim (Sun et al., VLDB 2011).
 ///
@@ -54,16 +54,7 @@ impl PathMeasure for PathSim<'_> {
 
     fn relevance_matrix(&self, path: &MetaPath) -> Result<CsrMatrix> {
         self.require_symmetric(path)?;
-        let m = self.count_matrix(path)?;
-        let diag: Vec<f64> = (0..m.nrows()).map(|i| m.get(i, i)).collect();
-        let mut coo = CooMatrix::with_capacity(m.nrows(), m.ncols(), m.nnz());
-        for (a, b, v) in m.iter() {
-            let denom = diag[a] + diag[b];
-            if denom > 0.0 {
-                coo.push(a, b, 2.0 * v / denom);
-            }
-        }
-        Ok(coo.to_csr())
+        Ok(scale_by_diagonal(self.count_matrix(path)?))
     }
 
     fn score(&self, path: &MetaPath, a: u32, b: u32) -> Result<f64> {
@@ -78,9 +69,81 @@ impl PathMeasure for PathSim<'_> {
     }
 }
 
+/// `2·M(a,b) / (M(a,a) + M(b,b))` for every stored entry of a square
+/// count matrix, computed in place on `M`'s own structure. An entry whose
+/// denominator is not positive is dropped.
+fn scale_by_diagonal(m: CsrMatrix) -> CsrMatrix {
+    let diag: Vec<f64> = (0..m.nrows()).map(|i| m.get(i, i)).collect();
+    m.map_stored(|a, b, v| {
+        let denom = diag[a] + diag[b];
+        (denom > 0.0).then(|| 2.0 * v / denom)
+    })
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+    use hetesim_sparse::CooMatrix;
+
+    /// The route `relevance_matrix` took before the in-place pass: every
+    /// kept entry pushed through a COO builder and converted back.
+    fn scale_by_diagonal_coo(m: &CsrMatrix) -> CsrMatrix {
+        let diag: Vec<f64> = (0..m.nrows()).map(|i| m.get(i, i)).collect();
+        let mut coo = CooMatrix::with_capacity(m.nrows(), m.ncols(), m.nnz());
+        for (a, b, v) in m.iter() {
+            let denom = diag[a] + diag[b];
+            if denom > 0.0 {
+                coo.push(a, b, 2.0 * v / denom);
+            }
+        }
+        coo.to_csr()
+    }
+
+    fn assert_bitwise_eq(got: &CsrMatrix, want: &CsrMatrix) {
+        assert_eq!(got.indptr(), want.indptr());
+        assert_eq!(got.indices(), want.indices());
+        let bits = |m: &CsrMatrix| m.values().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+        assert_eq!(bits(got), bits(want));
+    }
+
+    #[test]
+    fn diagonal_scaling_matches_coo_route_and_drops_zero_denominators() {
+        // Objects 1 and 2 have a zero diagonal, so (1, 2) and (2, 1) have a
+        // zero denominator and are dropped; (3, 3) is a stored negative
+        // diagonal whose denominator is negative. Row 4 is empty.
+        let mut coo = CooMatrix::new(5, 5);
+        for (a, b, v) in [
+            (0, 0, 4.0),
+            (0, 1, 1.0),
+            (0, 3, 3.0),
+            (1, 0, 1.0),
+            (1, 2, 2.0),
+            (2, 1, 2.0),
+            (3, 0, 3.0),
+            (3, 3, -1.0),
+        ] {
+            coo.push(a, b, v);
+        }
+        let m = coo.to_csr();
+        let want = scale_by_diagonal_coo(&m);
+        let got = scale_by_diagonal(m);
+        assert_bitwise_eq(&got, &want);
+        assert_eq!(got.row_nnz(1), 1); // (1, 2) dropped, (1, 0) kept
+        assert_eq!(got.row_nnz(2), 0);
+        assert_eq!(got.row_nnz(3), 1); // (3, 3) dropped
+        assert_eq!(got.get(0, 1), 2.0 / 4.0);
+    }
+
+    #[test]
+    fn relevance_matrix_matches_coo_route() {
+        let hin = toy();
+        let ps = PathSim::new(&hin);
+        for text in ["A-P-A", "A-P-C-P-A", "C-P-A-P-C", "P-A-P"] {
+            let path = MetaPath::parse(hin.schema(), text).unwrap();
+            let want = scale_by_diagonal_coo(&ps.count_matrix(&path).unwrap());
+            assert_bitwise_eq(&ps.relevance_matrix(&path).unwrap(), &want);
+        }
+    }
     use hetesim_graph::{HinBuilder, Schema};
 
     fn toy() -> Hin {

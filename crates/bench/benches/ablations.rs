@@ -4,8 +4,7 @@
 //! * materialized half-path cache (warm pair) vs. online propagation vs.
 //!   truncated approximate pairs,
 //! * parallel SpGEMM thread counts,
-//! * pruned top-k vs. full single-source scoring,
-//! * Definition-6 edge-object materialization vs. the fused closed form.
+//! * pruned top-k vs. full single-source scoring.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use hetesim_bench::datasets::{acm_dataset, Scale};
@@ -94,35 +93,11 @@ fn bench_topk(c: &mut Criterion) {
     g.finish();
 }
 
-fn bench_edge_split(c: &mut Criterion) {
-    // DESIGN.md ablation: Definition-6 edge-object materialization vs the
-    // algebraically fused kernel, on the biggest relation of the ACM
-    // network (writes: authors x papers).
-    use hetesim_core::decompose::{edge_split, fused_atomic};
-    let acm = acm_dataset(Scale::Default);
-    let w = acm.hin.adjacency(acm.writes);
-    let mut g = c.benchmark_group("atomic_relation_hetesim");
-    g.sample_size(20);
-    g.bench_function("materialized_edge_objects", |b| {
-        b.iter(|| {
-            let (ae, eb) = edge_split(w);
-            let left = ae.row_normalized();
-            let right = eb.transpose().row_normalized();
-            black_box(left.matmul(&right.transpose()).unwrap())
-        })
-    });
-    g.bench_function("fused_closed_form", |b| {
-        b.iter(|| black_box(fused_atomic(w).meeting))
-    });
-    g.finish();
-}
-
 criterion_group!(
     benches,
     bench_chain_order,
     bench_cache,
     bench_parallel,
-    bench_topk,
-    bench_edge_split
+    bench_topk
 );
 criterion_main!(benches);

@@ -71,80 +71,6 @@ pub fn edge_split(w: &CsrMatrix) -> (CsrMatrix, CsrMatrix) {
     (ae, eb)
 }
 
-/// The *fused* equivalent of the edge-object split: instead of
-/// materializing `E` (one object per relation instance), computes the
-/// quantities the HeteSim pipeline actually consumes, in closed form.
-///
-/// With `S_a = Σ_{b'} √w(a,b')` and `T_b = Σ_{a'} √w(a',b)`:
-///
-/// * the meeting-mass matrix through `E` is
-///   `M(a, b) = w(a, b) / (S_a · T_b)` — because each edge object is
-///   reachable from exactly one `a` and one `b`, the product
-///   `rownorm(W_AE) · rownorm(W_EBᵀ)ᵀ` collapses entry-wise;
-/// * the squared row norm of the left half over `E` is
-///   `q_A(a) = Σ_b w(a, b) / S_a²` (and symmetrically `q_B`).
-///
-/// Both are `O(nnz)` with no edge-object storage; `Decomposition`-based
-/// and fused results agree to machine precision (tested below and ablated
-/// in the benches).
-#[derive(Debug, Clone)]
-pub struct FusedAtomic {
-    /// `M(a, b) = w(a,b) / (S_a T_b)`: the unnormalized HeteSim of the
-    /// atomic relation (Definition 7) before cosine normalization.
-    pub meeting: CsrMatrix,
-    /// Squared L2 norms of the left walker's distribution over `E`,
-    /// per source object.
-    pub left_sq_norms: Vec<f64>,
-    /// Squared L2 norms of the right walker's distribution over `E`,
-    /// per target object.
-    pub right_sq_norms: Vec<f64>,
-}
-
-/// Computes the fused atomic-relation quantities (see [`FusedAtomic`]).
-pub fn fused_atomic(w: &CsrMatrix) -> FusedAtomic {
-    let mut s_row = vec![0.0f64; w.nrows()]; // Σ √w per source
-    let mut t_col = vec![0.0f64; w.ncols()]; // Σ √w per target
-    let mut w_row = vec![0.0f64; w.nrows()]; // Σ w per source
-    let mut w_col = vec![0.0f64; w.ncols()]; // Σ w per target
-    for (a, b, v) in w.iter() {
-        let sq = v.abs().sqrt();
-        s_row[a] += sq;
-        t_col[b] += sq;
-        w_row[a] += v.abs();
-        w_col[b] += v.abs();
-    }
-    let mut coo = hetesim_sparse::CooMatrix::with_capacity(w.nrows(), w.ncols(), w.nnz());
-    for (a, b, v) in w.iter() {
-        let denom = s_row[a] * t_col[b];
-        if denom > 0.0 {
-            coo.push(a, b, v / denom);
-        }
-    }
-    let left_sq_norms = (0..w.nrows())
-        .map(|a| {
-            if s_row[a] > 0.0 {
-                w_row[a] / (s_row[a] * s_row[a])
-            } else {
-                0.0
-            }
-        })
-        .collect();
-    let right_sq_norms = (0..w.ncols())
-        .map(|b| {
-            if t_col[b] > 0.0 {
-                w_col[b] / (t_col[b] * t_col[b])
-            } else {
-                0.0
-            }
-        })
-        .collect();
-    FusedAtomic {
-        meeting: coo.to_csr(),
-        left_sq_norms,
-        right_sq_norms,
-    }
-}
-
 /// Decomposes a relevance path `P` into `PL` / `PR⁻¹` matrix chains
 /// (Definition 5), inserting the edge-object split for odd lengths.
 pub fn decompose(hin: &Hin, path: &MetaPath) -> Result<Decomposition> {
@@ -264,52 +190,6 @@ mod tests {
         b.add_edge_by_name(pb, "P2", "KDD", 1.0).unwrap();
         b.add_edge_by_name(pb, "P3", "SIGMOD", 1.0).unwrap();
         b.build()
-    }
-
-    #[test]
-    fn fused_atomic_matches_materialized_split() {
-        let w = fig5_matrix();
-        let fused = fused_atomic(&w);
-        // Materialized pipeline: rownorm(W_AE) · rownorm(W_EBᵀ)ᵀ.
-        let (ae, eb) = edge_split(&w);
-        let left = ae.row_normalized();
-        let right = eb.transpose().row_normalized();
-        let meeting = left.matmul(&right.transpose()).unwrap();
-        assert!(meeting.max_abs_diff(&fused.meeting).unwrap() < 1e-12);
-        // Norms agree too.
-        for (a, &sq) in fused.left_sq_norms.iter().enumerate() {
-            let n = left.row(a).l2_norm();
-            assert!((n * n - sq).abs() < 1e-12, "left norm {a}");
-        }
-        for (b, &sq) in fused.right_sq_norms.iter().enumerate() {
-            let n = right.row(b).l2_norm();
-            assert!((n * n - sq).abs() < 1e-12, "right norm {b}");
-        }
-        // Figure 5 oracle: a2 row of the meeting matrix.
-        for (b, expected) in [
-            (0usize, 0.0),
-            (1, 1.0 / 6.0),
-            (2, 1.0 / 3.0),
-            (3, 1.0 / 6.0),
-        ] {
-            assert!((fused.meeting.get(1, b) - expected).abs() < 1e-12);
-        }
-    }
-
-    #[test]
-    fn fused_atomic_weighted_and_empty_rows() {
-        let mut coo = CooMatrix::new(3, 2);
-        coo.push(0, 0, 4.0);
-        coo.push(0, 1, 9.0);
-        coo.push(1, 1, 1.0);
-        // Row 2 has no edges.
-        let w = coo.to_csr();
-        let fused = fused_atomic(&w);
-        // S_0 = 2 + 3 = 5; T_1 = 3 + 1 = 4. M(0,1) = 9 / (5·4).
-        assert!((fused.meeting.get(0, 1) - 9.0 / 20.0).abs() < 1e-12);
-        assert_eq!(fused.left_sq_norms[2], 0.0);
-        // q_A(0) = (4 + 9) / 25.
-        assert!((fused.left_sq_norms[0] - 13.0 / 25.0).abs() < 1e-12);
     }
 
     #[test]

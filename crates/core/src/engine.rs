@@ -3,7 +3,7 @@ use crate::decompose::decompose;
 use crate::reachable::normalize_chain;
 use crate::{CoreError, Result};
 use hetesim_graph::{Hin, MetaPath};
-use hetesim_sparse::{chain, parallel, CooMatrix, CsrMatrix, SparseVec};
+use hetesim_sparse::{chain, for_each_common, parallel, CsrMatrix, SparseVec};
 use std::sync::Arc;
 
 /// The HeteSim query engine.
@@ -240,16 +240,36 @@ impl<'a> HeteSimEngine<'a> {
         let _span = hetesim_obs::span("core.engine.matrix");
         let h = self.halves(path)?;
         let raw = parallel::matmul_parallel(&h.left, &h.right_t, self.threads)?;
-        // Scale entry (a, b) by 1 / (||left_a|| * ||right_b||). Any stored
-        // entry has both norms > 0, since the product entry requires
-        // overlapping support.
-        let mut coo = CooMatrix::with_capacity(raw.nrows(), raw.ncols(), raw.nnz());
-        for (a, b, v) in raw.iter() {
+        // Scale entry (a, b) by 1 / (||left_a|| * ||right_b||), in place on
+        // the product's own structure. Any stored entry has both norms > 0,
+        // since the product entry requires overlapping support.
+        Ok(raw.map_stored(|a, b, v| {
             let denom = h.left_norms[a] * h.right_norms[b];
             debug_assert!(denom > 0.0);
-            coo.push(a, b, v / denom);
-        }
-        Ok(coo.to_csr())
+            Some(v / denom)
+        }))
+    }
+
+    /// Calls `meet(middle, left, right)` for every middle object that row
+    /// `a` of the left half and row `b` of the right half both store, in
+    /// ascending order, on the borrowed rows.
+    fn for_each_meeting(h: &Halves, a: u32, b: u32, meet: impl FnMut(u32, f64, f64)) {
+        let (a, b) = (a as usize, b as usize);
+        for_each_common(
+            h.left.row_indices(a),
+            h.left.row_values(a),
+            h.right.row_indices(b),
+            h.right.row_values(b),
+            meet,
+        );
+    }
+
+    /// Meeting probability of `(a, b)`: the dot product of the two rows,
+    /// summed over ascending middle objects from `0.0`.
+    fn meeting_mass(h: &Halves, a: u32, b: u32) -> f64 {
+        let mut s = 0.0;
+        Self::for_each_meeting(h, a, b, |_, lv, rv| s += lv * rv);
+        s
     }
 
     /// Normalized HeteSim of one pair.
@@ -257,7 +277,9 @@ impl<'a> HeteSimEngine<'a> {
         self.check_source(path, a)?;
         self.check_target(path, b)?;
         let h = self.halves(path)?;
-        Ok(h.left.row(a as usize).cosine(&h.right.row(b as usize)))
+        let dot = Self::meeting_mass(&h, a, b);
+        let n = h.left_norms[a as usize] * h.right_norms[b as usize];
+        Ok(if n == 0.0 { 0.0 } else { dot / n })
     }
 
     /// Unnormalized HeteSim (meeting probability) of one pair.
@@ -265,7 +287,7 @@ impl<'a> HeteSimEngine<'a> {
         self.check_source(path, a)?;
         self.check_target(path, b)?;
         let h = self.halves(path)?;
-        Ok(h.left.row(a as usize).dot(&h.right.row(b as usize)))
+        Ok(Self::meeting_mass(&h, a, b))
     }
 
     /// Approximate normalized HeteSim of one pair: both walkers propagate
@@ -297,29 +319,27 @@ impl<'a> HeteSimEngine<'a> {
 
     /// Normalized relevance of one source against *all* targets, as a dense
     /// row (zeros where the walkers cannot meet).
+    ///
+    /// Only the targets the source reaches are scored: the source's row of
+    /// the left half is pushed through `right_t` with
+    /// [`CsrMatrix::vecmat_each`], which sums each target's dot product
+    /// over ascending middle objects, as a dense product over every
+    /// target's row would.
     pub fn single_source(&self, path: &MetaPath, a: u32) -> Result<Vec<f64>> {
         let _span = hetesim_obs::span("core.engine.single_source");
         self.check_source(path, a)?;
         let h = self.halves(path)?;
-        let u = h.left.row(a as usize);
-        let nt = h.right.nrows();
-        if u.is_empty() {
-            return Ok(vec![0.0; nt]);
-        }
-        let un = u.l2_norm();
-        let dots = h.right.matvec(&u.to_dense())?;
-        Ok(dots
-            .iter()
-            .enumerate()
-            .map(|(t, &d)| {
-                let denom = un * h.right_norms[t];
-                if denom == 0.0 {
-                    0.0
-                } else {
-                    d / denom
+        let a = a as usize;
+        let un = h.left_norms[a];
+        let mut row = vec![0.0; h.right.nrows()];
+        h.right_t
+            .vecmat_each(h.left.row_indices(a), h.left.row_values(a), |t, d| {
+                let denom = un * h.right_norms[t as usize];
+                if denom != 0.0 {
+                    row[t as usize] = d / denom;
                 }
-            })
-            .collect())
+            });
+        Ok(row)
     }
 
     /// Top-`k` targets for one source, using pruned search (Section 4.6,
@@ -355,31 +375,18 @@ impl<'a> HeteSimEngine<'a> {
         self.check_source(path, a)?;
         self.check_target(path, b)?;
         let h = self.halves(path)?;
-        let la = h.left.row(a as usize);
-        let rb = h.right.row(b as usize);
-        let denom = la.l2_norm() * rb.l2_norm();
+        let denom = h.left_norms[a as usize] * h.right_norms[b as usize];
         let mut meetings = Vec::new();
         let mut score = 0.0;
         if denom > 0.0 {
-            let (mut i, mut j) = (0usize, 0usize);
-            let (li, lv) = (la.indices(), la.values());
-            let (ri, rv) = (rb.indices(), rb.values());
-            while i < li.len() && j < ri.len() {
-                match li[i].cmp(&ri[j]) {
-                    std::cmp::Ordering::Less => i += 1,
-                    std::cmp::Ordering::Greater => j += 1,
-                    std::cmp::Ordering::Equal => {
-                        let contribution = lv[i] * rv[j] / denom;
-                        score += contribution;
-                        meetings.push(crate::explain::Meeting {
-                            middle: li[i],
-                            contribution,
-                        });
-                        i += 1;
-                        j += 1;
-                    }
-                }
-            }
+            Self::for_each_meeting(&h, a, b, |middle, lv, rv| {
+                let contribution = lv * rv / denom;
+                score += contribution;
+                meetings.push(crate::explain::Meeting {
+                    middle,
+                    contribution,
+                });
+            });
         }
         meetings.sort_by(|x, y| {
             y.contribution

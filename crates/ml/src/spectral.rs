@@ -9,7 +9,7 @@
 
 use crate::eigen::{jacobi, subspace_iteration};
 use crate::kmeans::{kmeans, KMeansConfig};
-use hetesim_sparse::{CooMatrix, CsrMatrix, DenseMatrix};
+use hetesim_sparse::{CsrMatrix, DenseMatrix};
 
 /// Configuration for [`normalized_cut`].
 #[derive(Debug, Clone, Copy)]
@@ -46,26 +46,23 @@ pub fn symmetrize(w: &CsrMatrix) -> CsrMatrix {
     w.add(&w.transpose()).expect("square affinity").scaled(0.5)
 }
 
-/// The degree-normalized affinity `D^{-1/2} W D^{-1/2}`; rows/columns with
-/// zero degree stay zero.
-pub fn normalized_affinity(w: &CsrMatrix) -> CsrMatrix {
+/// The degree-normalized affinity `D^{-1/2} W D^{-1/2}`, scaled in place
+/// on `w`'s own structure; rows/columns with zero degree stay zero (their
+/// entries stay stored, as zeros).
+pub fn normalized_affinity(w: CsrMatrix) -> CsrMatrix {
     let d = w.row_sums();
     let dinv_sqrt: Vec<f64> = d
         .iter()
         .map(|&x| if x > 0.0 { 1.0 / x.sqrt() } else { 0.0 })
         .collect();
-    let mut coo = CooMatrix::with_capacity(w.nrows(), w.ncols(), w.nnz());
-    for (r, c, v) in w.iter() {
-        coo.push(r, c, v * dinv_sqrt[r] * dinv_sqrt[c]);
-    }
-    coo.to_csr()
+    w.map_stored(|r, c, v| Some(v * dinv_sqrt[r] * dinv_sqrt[c]))
 }
 
 /// The spectral embedding: top-`k` eigenvectors of the normalized
 /// affinity, rows scaled to unit length.
 pub fn spectral_embedding(w: &CsrMatrix, k: usize, cfg: &SpectralConfig) -> DenseMatrix {
     assert_eq!(w.nrows(), w.ncols(), "affinity must be square");
-    let b = normalized_affinity(&symmetrize(w));
+    let b = normalized_affinity(symmetrize(w));
     let n = b.nrows();
     let mut embedding = if n <= cfg.dense_threshold {
         let (_, vecs) = jacobi(&b.to_dense(), 200, 1e-12);
@@ -105,6 +102,7 @@ pub fn normalized_cut(w: &CsrMatrix, k: usize, cfg: &SpectralConfig) -> Vec<usiz
 #[cfg(test)]
 mod tests {
     use super::*;
+    use hetesim_sparse::CooMatrix;
 
     /// Two dense blocks with a weak bridge.
     fn two_block_affinity() -> CsrMatrix {
@@ -121,6 +119,43 @@ mod tests {
             }
         }
         coo.to_csr()
+    }
+
+    #[test]
+    fn normalized_affinity_matches_coo_route() {
+        // Row 3 holds only a stored zero (degree 0), row 0 a stored zero
+        // beside real weights, and (0, 1)/(1, 0) are asymmetric.
+        let mut coo = CooMatrix::new(4, 4);
+        for (r, c, v) in [
+            (0, 0, 1.0),
+            (0, 1, 0.5),
+            (0, 2, 0.0),
+            (1, 0, 0.25),
+            (2, 2, 3.0),
+            (3, 0, 0.0),
+        ] {
+            coo.push(r, c, v);
+        }
+        let mut all = vec![coo.to_csr(), symmetrize(&two_block_affinity())];
+        all.push(CsrMatrix::zeros(3, 3));
+        for w in all {
+            // The route before the in-place pass.
+            let d = w.row_sums();
+            let dinv: Vec<f64> = d
+                .iter()
+                .map(|&x| if x > 0.0 { 1.0 / x.sqrt() } else { 0.0 })
+                .collect();
+            let mut coo = CooMatrix::with_capacity(w.nrows(), w.ncols(), w.nnz());
+            for (r, c, v) in w.iter() {
+                coo.push(r, c, v * dinv[r] * dinv[c]);
+            }
+            let want = coo.to_csr();
+            let got = normalized_affinity(w);
+            assert_eq!(got.indptr(), want.indptr());
+            assert_eq!(got.indices(), want.indices());
+            let bits = |m: &CsrMatrix| m.values().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+            assert_eq!(bits(&got), bits(&want));
+        }
     }
 
     #[test]
@@ -151,7 +186,7 @@ mod tests {
     #[test]
     fn normalized_affinity_spectral_radius_at_most_one() {
         let w = two_block_affinity();
-        let b = normalized_affinity(&symmetrize(&w));
+        let b = normalized_affinity(symmetrize(&w));
         let (vals, _) = jacobi(&b.to_dense(), 200, 1e-12);
         assert!(vals[0] <= 1.0 + 1e-9);
     }

@@ -10,10 +10,12 @@
 //! cosine between reachable-probability rows. This crate provides exactly the
 //! kernels that pipeline needs:
 //!
-//! * [`CooMatrix`] — triplet builder for incremental construction,
+//! * [`CooMatrix`] — triplet builder for ingestion and incremental
+//!   construction (loaders and builders only),
 //! * [`CsrMatrix`] — compressed sparse row storage with transpose, sparse
-//!   general matrix-matrix multiply (SpGEMM), stochastic normalization and
-//!   row-slicing,
+//!   general matrix-matrix multiply (SpGEMM), stochastic normalization,
+//!   row-slicing and an in-place value pass
+//!   ([`CsrMatrix::map_stored`]),
 //! * [`DenseMatrix`] — small row-major dense matrices for relevance outputs
 //!   and the eigensolvers in `hetesim-ml`,
 //! * [`SparseVec`] — sparse vectors with dot products and cosines,
@@ -58,7 +60,7 @@ pub use coo::CooMatrix;
 pub use csr::{check_nnz, CsrMatrix};
 pub use dense::DenseMatrix;
 pub use error::SparseError;
-pub use vector::{cosine_dense, dot_dense, l2_norm_dense, SparseVec};
+pub use vector::{cosine_dense, dot_dense, for_each_common, l2_norm_dense, SparseVec};
 
 /// Convenience alias used by fallible kernel entry points.
 pub type Result<T> = std::result::Result<T, SparseError>;

@@ -164,19 +164,14 @@ impl SparseVec {
     /// Panics if dimensions differ.
     pub fn dot(&self, rhs: &SparseVec) -> f64 {
         assert_eq!(self.dim, rhs.dim, "sparse dot dimension mismatch");
-        let (mut i, mut j) = (0usize, 0usize);
         let mut s = 0.0;
-        while i < self.indices.len() && j < rhs.indices.len() {
-            match self.indices[i].cmp(&rhs.indices[j]) {
-                std::cmp::Ordering::Less => i += 1,
-                std::cmp::Ordering::Greater => j += 1,
-                std::cmp::Ordering::Equal => {
-                    s += self.values[i] * rhs.values[j];
-                    i += 1;
-                    j += 1;
-                }
-            }
-        }
+        for_each_common(
+            &self.indices,
+            &self.values,
+            &rhs.indices,
+            &rhs.values,
+            |_, x, y| s += x * y,
+        );
         s
     }
 
@@ -189,6 +184,32 @@ impl SparseVec {
             0.0
         } else {
             d / n
+        }
+    }
+}
+
+/// Calls `meet(index, a, b)` for every index stored in both of two sparse
+/// vectors, in ascending index order. Each vector is given as parallel
+/// index/value slices with strictly increasing indices (a borrowed CSR row
+/// or a [`SparseVec`]), so rows of a matrix can be merged without copying
+/// them. This is the merge loop of [`SparseVec::dot`].
+pub fn for_each_common(
+    a_indices: &[u32],
+    a_values: &[f64],
+    b_indices: &[u32],
+    b_values: &[f64],
+    mut meet: impl FnMut(u32, f64, f64),
+) {
+    let (mut i, mut j) = (0usize, 0usize);
+    while i < a_indices.len() && j < b_indices.len() {
+        match a_indices[i].cmp(&b_indices[j]) {
+            std::cmp::Ordering::Less => i += 1,
+            std::cmp::Ordering::Greater => j += 1,
+            std::cmp::Ordering::Equal => {
+                meet(a_indices[i], a_values[i], b_values[j]);
+                i += 1;
+                j += 1;
+            }
         }
     }
 }
