@@ -14,8 +14,7 @@
 //! hetesim-cli serve   DIR [--addr HOST:PORT] [--workers N] [--deadline-ms MS]
 //!                         [--queue-depth N] [--cache-budget-bytes N]
 //!                         [--warmup-paths FILE] [--trace-sample N]
-//!                         [--slow-ms MS] [--slow-log FILE]
-//!                         [--trace-out FILE] [--trace-ring N]
+//!                         [--slow-ms MS] [--trace-out FILE] [--trace-ring N]
 //!                         [--history-budget-bytes N] [--history-tick-ms MS]
 //!                         [--slo-latency-ms MS] [--slo-availability F]
 //! hetesim-cli watch   URL [--interval-ms MS] [--iterations N]
@@ -83,7 +82,7 @@ commands:
       The k most relevant object pairs across the whole matrix.
   serve DIR [--addr 127.0.0.1:7878] [--workers 0] [--deadline-ms 0]
             [--queue-depth 64] [--cache-budget-bytes 0] [--warmup-paths FILE]
-            [--trace-sample N] [--slow-ms MS] [--slow-log FILE]
+            [--trace-sample N] [--slow-ms MS]
             [--trace-out FILE] [--trace-ring 128]
             [--history-budget-bytes 1048576] [--history-tick-ms 1000]
             [--slo-latency-ms 500] [--slo-availability 0.999]
@@ -99,8 +98,8 @@ commands:
       --trace-sample N keeps every Nth request's stage trace (0 = off) in
       a ring of --trace-ring entries served at GET /traces/recent and
       appended to --trace-out as JSONL (rotated once); requests slower
-      than --slow-ms are always kept and logged to --slow-log (JSONL;
-      stderr when unset; 0 = off). A background sampler retains a
+      than --slow-ms are always kept there too, annotated with method,
+      target, status and verdict (0 = off). A background sampler retains a
       metrics time-series in at most --history-budget-bytes of memory
       (0 = off), sampled every --history-tick-ms, served at
       GET /metrics/history and rendered at GET /dashboard as a
@@ -611,7 +610,6 @@ fn cmd_serve(p: &Parsed) -> Result<(), String> {
         queue_depth: p.get_usize("queue-depth", 64)?,
         deadline_ms: p.get_u64("deadline-ms", 0)?,
         slow_ms: p.get_u64("slow-ms", 0)?,
-        slow_log: p.flags.get("slow-log").cloned(),
         trace_sample: p.get_u64("trace-sample", 0)?,
         trace_out: p.flags.get("trace-out").cloned(),
         trace_ring: p.get_usize("trace-ring", 128)?,

@@ -123,12 +123,13 @@ impl TopK {
     }
 }
 
-/// The stored entries of one left-half row and their L2 norm (the same
-/// sum of squares [`hetesim_sparse::SparseVec::l2_norm`] takes).
+/// The stored entries of one left-half row and its cached L2 norm.
 fn source_row(h: &Halves, source: usize) -> (&[u32], &[f64], f64) {
-    let vals = h.left.row_values(source);
-    let norm = vals.iter().map(|v| v * v).sum::<f64>().sqrt();
-    (h.left.row_indices(source), vals, norm)
+    (
+        h.left.row_indices(source),
+        h.left.row_values(source),
+        h.left_norms[source],
+    )
 }
 
 /// Top-k normalized HeteSim for one source row over materialized halves.

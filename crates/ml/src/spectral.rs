@@ -43,7 +43,9 @@ impl Default for SpectralConfig {
 /// symmetric in exact arithmetic for symmetric paths, but floating-point
 /// products can drift, and spectral clustering needs exact symmetry.
 pub fn symmetrize(w: &CsrMatrix) -> CsrMatrix {
-    w.add(&w.transpose()).expect("square affinity").scaled(0.5)
+    w.add(&w.transpose())
+        .expect("square affinity")
+        .map_stored(|_, _, v| Some(v * 0.5))
 }
 
 /// The degree-normalized affinity `D^{-1/2} W D^{-1/2}`, scaled in place

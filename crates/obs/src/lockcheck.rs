@@ -45,7 +45,6 @@ use std::time::Duration;
 /// queue guard).
 pub const LOCK_ORDER: &[(&str, u32)] = &[
     ("serve.server.queue", 10),
-    ("serve.server.slow_log", 15),
     ("core.cache.inner", 20),
     ("sparse.parallel.pool_stats", 30),
     ("sparse.scratch.pool", 35),
@@ -411,10 +410,6 @@ mod tests {
             ("crates/core/src/cache.rs::inner", "core.cache.inner"),
             ("crates/serve/src/server.rs::queue", "serve.server.queue"),
             (
-                "crates/serve/src/server.rs::slow_log",
-                "serve.server.slow_log",
-            ),
-            (
                 "crates/sparse/src/parallel.rs::LAST_POOL_STATS",
                 "sparse.parallel.pool_stats",
             ),
@@ -490,11 +485,11 @@ mod tests {
     #[test]
     fn misordered_acquisition_panics() {
         let inner = TrackedRwLock::named("core.cache.inner", ());
-        let slow_log = TrackedMutex::named("serve.server.slow_log", ());
+        let queue = TrackedMutex::named("serve.server.queue", ());
         let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
             let _first = inner.write().unwrap_or_else(PoisonError::into_inner);
-            // rank(slow_log)=15 < rank(inner)=20: out of order, must panic.
-            let _second = slow_log.lock().unwrap_or_else(PoisonError::into_inner);
+            // rank(queue)=10 < rank(inner)=20: out of order, must panic.
+            let _second = queue.lock().unwrap_or_else(PoisonError::into_inner);
         }));
         let err = result.expect_err("misordered acquisition must panic");
         let msg = err.downcast_ref::<String>().cloned().unwrap_or_default();
@@ -509,10 +504,10 @@ mod tests {
     #[cfg(feature = "obs-lockcheck")]
     #[test]
     fn ordered_acquisition_is_clean() {
-        let slow_log = TrackedMutex::named("serve.server.slow_log", ());
+        let queue = TrackedMutex::named("serve.server.queue", ());
         let inner = TrackedRwLock::named("core.cache.inner", ());
         {
-            let _a = slow_log.lock().unwrap_or_else(PoisonError::into_inner);
+            let _a = queue.lock().unwrap_or_else(PoisonError::into_inner);
             let _b = inner.write().unwrap_or_else(PoisonError::into_inner);
             assert_eq!(held_locks().len(), 2);
         }

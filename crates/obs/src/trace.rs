@@ -80,19 +80,6 @@ impl FinishedTrace {
         format!("{:016x}", self.trace_id)
     }
 
-    /// Total nanoseconds per event name, in order of first appearance.
-    /// Multiple activations of the same span accumulate.
-    pub fn stage_totals(&self) -> Vec<(&'static str, u64)> {
-        let mut order: Vec<(&'static str, u64)> = Vec::new();
-        for e in &self.events {
-            match order.iter_mut().find(|(n, _)| *n == e.name) {
-                Some((_, total)) => *total += e.duration_ns,
-                None => order.push((e.name, e.duration_ns)),
-            }
-        }
-        order
-    }
-
     /// Total nanoseconds of the first event with this name, if present.
     pub fn event_total_ns(&self, name: &str) -> Option<u64> {
         let mut total = 0u64;
@@ -745,14 +732,7 @@ mod tests {
             start_ns: 80,
             duration_ns: 5,
         });
-        let totals = t.stage_totals();
-        assert_eq!(totals[0].0, "serve.server.handle");
-        let topk = totals
-            .iter()
-            .find(|(n, _)| *n == "core.engine.top_k")
-            .unwrap();
-        assert_eq!(topk.1, 70 + 5);
-        assert_eq!(t.event_total_ns("core.engine.top_k"), Some(75));
+        assert_eq!(t.event_total_ns("core.engine.top_k"), Some(70 + 5));
         assert_eq!(t.event_total_ns("absent"), None);
         assert_eq!(t.annotation("path"), Some("APC"));
     }

@@ -178,40 +178,18 @@ impl<'h> App<'h> {
         )
     }
 
-    /// `GET /profile?seconds=N&format=folded|svg`: the span profile as a
-    /// folded-stack text or flamegraph SVG. With `seconds` > 0 the handler
-    /// sleeps that long and renders only the activity window (snapshot
-    /// diff); with `seconds=0` (the default) it renders everything since
-    /// startup. Deliberately unspanned: a span around the sleep would
-    /// dominate every profile this endpoint reports.
+    /// `GET /profile?format=folded|svg`: the span profile since startup
+    /// as a folded-stack text or flamegraph SVG.
     fn profile(&self, req: &Request) -> Response {
-        let seconds = match req.query_param("seconds") {
-            None => 0,
-            Some(v) => match v.parse::<u64>() {
-                Ok(s) if s <= 60 => s,
-                _ => {
-                    return Response::error(400, "\"seconds\" must be an integer between 0 and 60")
-                }
-            },
-        };
-        let format = req.query_param("format").unwrap_or("folded");
-        if format != "folded" && format != "svg" {
-            return Response::error(400, "\"format\" must be \"folded\" or \"svg\"");
-        }
-        let snapshot = if seconds > 0 {
-            let base = hetesim_obs::snapshot();
-            std::thread::sleep(std::time::Duration::from_secs(seconds));
-            hetesim_obs::snapshot().diff(&base)
-        } else {
-            hetesim_obs::snapshot()
-        };
-        match format {
-            "svg" => Response::text(200, "image/svg+xml", hetesim_obs::flamegraph_svg(&snapshot)),
-            _ => Response::text(
+        let snapshot = hetesim_obs::snapshot();
+        match req.query_param("format").unwrap_or("folded") {
+            "folded" => Response::text(
                 200,
                 "text/plain; charset=utf-8",
                 hetesim_obs::folded_stacks(&snapshot),
             ),
+            "svg" => Response::text(200, "image/svg+xml", hetesim_obs::flamegraph_svg(&snapshot)),
+            _ => Response::error(400, "\"format\" must be \"folded\" or \"svg\""),
         }
     }
 

@@ -1,9 +1,8 @@
 //! A tiny blocking HTTP client for exercising the server.
 //!
-//! Exists so the integration tests, the `serve-load` benchmark, and CI
-//! smoke checks need nothing beyond this workspace — it speaks exactly
-//! the `Connection: close` HTTP/1.1 subset the server serves, one
-//! request per connection.
+//! Exists so the integration tests and `hetesim-cli watch` need nothing
+//! beyond this workspace — it speaks exactly the `Connection: close`
+//! HTTP/1.1 subset the server serves, one request per connection.
 
 use std::io::{Read, Write};
 use std::net::{TcpStream, ToSocketAddrs};

@@ -23,7 +23,7 @@
 
 use crate::http::{read_request, HttpError, Request, Response};
 use hetesim_obs::lockcheck::TrackedMutex as Mutex;
-use hetesim_obs::{FinishedTrace, JsonlSink, RingSink, TraceSink};
+use hetesim_obs::{JsonlSink, RingSink, TraceSink};
 use std::collections::VecDeque;
 use std::io::Read;
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
@@ -64,11 +64,9 @@ pub struct ServeConfig {
     /// accept; `0` disables deadlines.
     pub deadline_ms: u64,
     /// Slow-query threshold in milliseconds: requests at least this slow
-    /// (accept → response written) are always traced and logged to the
-    /// slow-query log, regardless of head sampling. `0` disables both.
+    /// (accept → response written) are always traced and kept, regardless
+    /// of head sampling. `0` disables slow capture.
     pub slow_ms: u64,
-    /// Where the slow-query JSONL log goes; `None` = stderr.
-    pub slow_log: Option<String>,
     /// Head sampling: trace 1 in `trace_sample` requests (`0` disables
     /// head sampling; slow requests are still traced when `slow_ms` > 0).
     pub trace_sample: u64,
@@ -98,7 +96,6 @@ impl Default for ServeConfig {
             queue_depth: 64,
             deadline_ms: 0,
             slow_ms: 0,
-            slow_log: None,
             trace_sample: 0,
             trace_out: None,
             trace_ring: 128,
@@ -183,8 +180,6 @@ pub struct Server {
     shared: Arc<Shared>,
     /// Slow threshold in nanoseconds (`0` = off).
     slow_ns: u64,
-    /// Slow-query JSONL destination; `None` = stderr.
-    slow_log: Option<Mutex<std::fs::File>>,
     /// Head sampling period (`0` = off) and its request counter. Kept
     /// per-server (not the process-global `hetesim_obs` policy) so
     /// servers in one process — tests, embedded uses — don't fight.
@@ -235,16 +230,6 @@ impl Server {
         } else {
             config.workers
         };
-        let slow_log = match &config.slow_log {
-            Some(path) => Some(Mutex::named(
-                "serve.server.slow_log",
-                std::fs::OpenOptions::new()
-                    .create(true)
-                    .append(true)
-                    .open(path)?,
-            )),
-            None => None,
-        };
         let trace_out = match &config.trace_out {
             Some(path) => Some(JsonlSink::create(path, TRACE_OUT_MAX_BYTES)?),
             None => None,
@@ -286,7 +271,6 @@ impl Server {
                 stop: AtomicBool::new(false),
             }),
             slow_ns: config.slow_ms.saturating_mul(1_000_000),
-            slow_log,
             trace_sample: config.trace_sample,
             trace_counter: AtomicU64::new(0),
             ring: Arc::new(RingSink::new(config.trace_ring)),
@@ -592,66 +576,6 @@ impl Server {
         Response::text(200, "text/html; charset=utf-8", html)
     }
 
-    /// Appends one structured line to the slow-query log (file or stderr).
-    fn log_slow(
-        &self,
-        trace: &FinishedTrace,
-        method: &str,
-        target: &str,
-        status: u16,
-        verdict: &str,
-    ) {
-        use std::io::Write;
-        let cache = if trace.events.iter().any(|e| e.name == "core.cache.miss") {
-            "miss"
-        } else if trace.events.iter().any(|e| e.name == "core.cache.hit") {
-            "hit"
-        } else {
-            "none"
-        };
-        let mut stages = String::new();
-        for (i, (name, ns)) in trace.stage_totals().iter().enumerate() {
-            if i > 0 {
-                stages.push(',');
-            }
-            stages.push_str(&format!("\"{}\":{}", crate::json::escape(name), ns / 1_000));
-        }
-        let mut annotations = String::new();
-        for (i, (k, v)) in trace.annotations.iter().enumerate() {
-            if i > 0 {
-                annotations.push(',');
-            }
-            annotations.push_str(&format!(
-                "\"{}\":\"{}\"",
-                crate::json::escape(k),
-                crate::json::escape(v)
-            ));
-        }
-        let line = format!(
-            "{{\"ts_unix_ms\":{},\"trace_id\":\"{}\",\"method\":\"{}\",\"target\":\"{}\",\
-             \"status\":{},\"verdict\":\"{}\",\"duration_us\":{},\"cache\":\"{}\",\
-             \"annotations\":{{{}}},\"stages_us\":{{{}}}}}",
-            trace.started_unix_ms,
-            trace.id_hex(),
-            crate::json::escape(method),
-            crate::json::escape(target),
-            status,
-            verdict,
-            trace.duration_ns / 1_000,
-            cache,
-            annotations,
-            stages,
-        );
-        hetesim_obs::add("serve.server.slow_queries", 1);
-        match &self.slow_log {
-            Some(file) => {
-                let mut file = file.lock().unwrap_or_else(PoisonError::into_inner);
-                let _ = writeln!(file, "{line}");
-            }
-            None => eprintln!("slow-query {line}"),
-        }
-    }
-
     /// Parses, deadline-checks, dispatches, and answers one connection.
     fn serve_one<H: Handler>(&self, job: Job, handler: &H) {
         let Job {
@@ -692,10 +616,6 @@ impl Server {
             let _stage = hetesim_obs::span("serve.server.parse");
             read_request(&mut stream)
         };
-        // Request identity for the slow log, captured before the request
-        // is consumed by the handler.
-        let mut method = String::new();
-        let mut target = String::new();
         let mut verdict = "ok";
         let response = match parsed {
             Err(HttpError::TooLarge) => {
@@ -714,8 +634,10 @@ impl Server {
             }
             Ok(request) => {
                 hetesim_obs::add("serve.server.requests", 1);
-                method = request.method.clone();
-                target = request.target.clone();
+                if scope.is_some() {
+                    hetesim_obs::trace_annotate("method", request.method.clone());
+                    hetesim_obs::trace_annotate("target", request.target.clone());
+                }
                 if expired(deadline) {
                     hetesim_obs::add("serve.server.timeouts", 1);
                     verdict = "deadline";
@@ -758,6 +680,8 @@ impl Server {
             accepted.elapsed().as_micros() as u64,
         );
         if let Some(scope) = scope {
+            hetesim_obs::trace_annotate("status", response.status.to_string());
+            hetesim_obs::trace_annotate("verdict", verdict.to_string());
             if let Some(trace) = scope.finish() {
                 let slow = self.slow_ns > 0 && trace.duration_ns >= self.slow_ns;
                 if trace.head_sampled || slow {
@@ -768,7 +692,7 @@ impl Server {
                     hetesim_obs::add("serve.server.traces_kept", 1);
                 }
                 if slow {
-                    self.log_slow(&trace, &method, &target, response.status, verdict);
+                    hetesim_obs::add("serve.server.slow_queries", 1);
                 }
             }
         }

@@ -227,14 +227,14 @@ fn a_trace_is_in_the_ring_once_its_response_has_arrived() {
 #[test]
 fn slow_requests_are_captured_even_when_head_sampling_drops_them() {
     hetesim_obs::enable();
-    let dir = std::env::temp_dir().join(format!("hetesim-slowlog-{}", std::process::id()));
+    let dir = std::env::temp_dir().join(format!("hetesim-slowtrace-{}", std::process::id()));
     std::fs::create_dir_all(&dir).unwrap();
-    let log_path = dir.join("slow.jsonl");
+    let out_path = dir.join("traces.jsonl");
     let cfg = ServeConfig {
         // Head sampling off: only the slow path can capture anything.
         trace_sample: 0,
         slow_ms: 10,
-        slow_log: Some(log_path.display().to_string()),
+        trace_out: Some(out_path.display().to_string()),
         ..config()
     };
     let handler = |req: &Request| {
@@ -259,43 +259,44 @@ fn slow_requests_are_captured_even_when_head_sampling_drops_them() {
             .iter()
             .filter_map(|t| t.get("trace_id").and_then(Json::as_str).map(String::from))
             .collect();
-        assert!(kept.contains(&slow_id), "slow trace not kept: {kept:?}");
-        let slow_trace = parsed
-            .as_array()
-            .unwrap()
-            .iter()
-            .find(|t| t.get("trace_id").and_then(Json::as_str) == Some(&slow_id))
-            .unwrap();
-        assert_eq!(
-            slow_trace.get("head_sampled"),
-            Some(&Json::Bool(false)),
-            "slow capture must not be attributed to head sampling"
-        );
-        assert!(
-            slow_trace
-                .get("duration_ns")
-                .and_then(Json::as_u64)
-                .unwrap()
-                >= 10_000_000
-        );
+        assert_eq!(kept, vec![slow_id], "only the slow trace is kept");
     });
-    // The slow-query log has exactly the slow request, with its stage
-    // breakdown and verdict.
-    let log = std::fs::read_to_string(&log_path).unwrap();
-    let lines: Vec<&str> = log.lines().collect();
-    assert_eq!(lines.len(), 1, "expected one slow-log line: {log:?}");
+    // The trace file holds exactly the slow request: its identity and
+    // verdict as annotations, its stage breakdown as events.
+    let out = std::fs::read_to_string(&out_path).unwrap();
+    let lines: Vec<&str> = out.lines().collect();
+    assert_eq!(lines.len(), 1, "expected one kept trace: {out:?}");
     let entry = Json::parse(lines[0]).unwrap();
-    assert_eq!(entry.get("target").and_then(Json::as_str), Some("/slow"));
-    assert_eq!(entry.get("verdict").and_then(Json::as_str), Some("ok"));
-    assert_eq!(entry.get("status").and_then(Json::as_u64), Some(200));
-    assert!(entry.get("duration_us").and_then(Json::as_u64).unwrap() >= 10_000);
-    assert!(
+    assert_eq!(
+        entry.get("head_sampled"),
+        Some(&Json::Bool(false)),
+        "slow capture must not be attributed to head sampling"
+    );
+    assert!(entry.get("duration_ns").and_then(Json::as_u64).unwrap() >= 10_000_000);
+    let annotation = |key: &str| {
         entry
-            .get("stages_us")
-            .and_then(|s| s.get("serve.server.handle"))
-            .and_then(Json::as_u64)
-            .unwrap()
-            > 0
+            .get("annotations")
+            .and_then(|a| a.get(key))
+            .and_then(Json::as_str)
+    };
+    assert_eq!(annotation("method"), Some("GET"));
+    assert_eq!(annotation("target"), Some("/slow"));
+    assert_eq!(annotation("status"), Some("200"));
+    assert_eq!(annotation("verdict"), Some("ok"));
+    let handle_ns: u64 = entry
+        .get("events")
+        .and_then(Json::as_array)
+        .unwrap()
+        .iter()
+        .filter(|e| e.get("name").and_then(Json::as_str) == Some("serve.server.handle"))
+        .filter_map(|e| e.get("duration_ns").and_then(Json::as_u64))
+        .sum();
+    assert!(handle_ns >= 1_000, "handle stage missing: {out}");
+    assert!(
+        hetesim_obs::snapshot()
+            .counter("serve.server.slow_queries")
+            .unwrap_or(0)
+            >= 1
     );
     let _ = std::fs::remove_dir_all(&dir);
 }

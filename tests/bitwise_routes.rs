@@ -4,8 +4,9 @@
 //! Each route is compared with the route it replaced, kept here as a
 //! test-only copy: `matrix()` with the COO rebuild of the scaled product,
 //! `pair`/`pair_unnormalized`/`explain` with owned `SparseVec` rows, and
-//! `single_source` with a dense product over every target's row. Values
-//! are compared through `f64::to_bits`, not within a tolerance.
+//! `single_source` with a dense product over every target's row, and
+//! `top_k` with `single_source`. Values are compared through
+//! `f64::to_bits`, not within a tolerance.
 
 use hetesim::core::explain::Meeting;
 use hetesim::core::Halves;
@@ -208,6 +209,36 @@ proptest! {
                     prop_assert_eq!(g.middle, w.middle);
                     prop_assert_eq!(g.contribution.to_bits(), w.contribution.to_bits());
                 }
+            }
+        }
+    }
+
+    /// Every score `top_k` returns equals `single_source`'s score for the
+    /// same target bit for bit, on built halves and on halves installed
+    /// the way a snapshot load installs them, and with `k` at least the
+    /// target count no target with a nonzero score is left out.
+    #[test]
+    fn top_k_matches_single_source(
+        hin in arb_hin(),
+        path_idx in 0..PATHS.len(),
+        threads_idx in 0..2usize,
+    ) {
+        let threads = [1, 4][threads_idx];
+        let built = HeteSimEngine::with_threads(&hin, threads);
+        let path = MetaPath::parse(hin.schema(), PATHS[path_idx]).unwrap();
+        let h = built.materialized_halves(&path).unwrap();
+        let installed = HeteSimEngine::with_threads(&hin, threads);
+        installed.install_halves(&path, h.left.clone(), h.right.clone()).unwrap();
+        let nt = h.right.nrows();
+        for engine in [&built, &installed] {
+            for a in 0..h.left.nrows() as u32 {
+                let row = engine.single_source(&path, a).unwrap();
+                let top = engine.top_k(&path, a, nt).unwrap();
+                for r in &top {
+                    prop_assert_eq!(r.score.to_bits(), row[r.index as usize].to_bits());
+                }
+                let nonzero = row.iter().filter(|v| **v != 0.0).count();
+                prop_assert!(top.iter().filter(|r| r.score != 0.0).count() == nonzero);
             }
         }
     }

@@ -53,7 +53,7 @@ HIGHER_IS_WORSE = (
     "timeouts",
     "failures",
     "evictions",
-    # PR 9's serve-load additions: `slo.*.fast_burn`/`slow_burn` and
+    # SLO and retention keys: `slo.*.fast_burn`/`slow_burn` and
     # `history.resident_bytes`/`cache.resident_bytes`. The full
     # "resident_bytes" token (not "bytes") keeps `budget_bytes` and
     # matrix-size echoes neutral.
