@@ -513,7 +513,7 @@ fn snapshot_build_info_and_bit_identical_query() {
     let info = run(&["snapshot", "info", snap.to_str().unwrap()]);
     assert!(info.status.success());
     let text = String::from_utf8_lossy(&info.stdout);
-    assert!(text.contains("format v1"), "{text}");
+    assert!(text.contains("format v2"), "{text}");
     assert!(text.contains("A-P-V-C"), "{text}");
     assert!(text.contains("schema"), "{text}");
 

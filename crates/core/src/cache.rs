@@ -15,31 +15,76 @@ pub use hetesim_obs::CacheStats;
 /// matrices helps to fasten the computation". Once a path's halves are
 /// built, single pairs are two row reads and a sparse dot; top-k queries
 /// touch only the middle objects the source actually reaches.
+///
+/// On an even symmetric path the right half `PM_PR⁻¹` is the left half
+/// `PM_PL` (Property 1): `right` and `right_norms` then share `left`'s
+/// and `left_norms`' storage, so such a path holds two matrices, not
+/// three. [`Halves::shares_left`] tells the two layouts apart.
 #[derive(Debug)]
 pub struct Halves {
     /// `PM_PL`: source type × middle (row-stochastic product).
-    pub left: CsrMatrix,
-    /// `PM_PR⁻¹`: target type × middle.
-    pub right: CsrMatrix,
+    pub left: Arc<CsrMatrix>,
+    /// `PM_PR⁻¹`: target type × middle. The same storage as `left` on an
+    /// even symmetric path.
+    pub right: Arc<CsrMatrix>,
     /// Transpose of `right` (middle × target), used by pruned top-k search.
     pub right_t: CsrMatrix,
     /// Euclidean norms of `left`'s rows (Definition 10 denominators).
-    pub left_norms: Vec<f64>,
-    /// Euclidean norms of `right`'s rows.
-    pub right_norms: Vec<f64>,
+    pub left_norms: Arc<[f64]>,
+    /// Euclidean norms of `right`'s rows; the same storage as
+    /// `left_norms` when `right` shares `left`.
+    pub right_norms: Arc<[f64]>,
 }
 
 impl Halves {
-    /// Approximate heap residency of the three matrices and two norm
-    /// vectors. CSR row pointers are `u32` (nnz is checked to fit the u32
-    /// index space at construction), so a cached half costs
-    /// `12·nnz + 4·(nrows+1)` matrix bytes — budgets sized against the
-    /// old `usize` pointers hold strictly more entries now.
+    /// Derives the query structures from raw half products: checks that
+    /// every value is finite, takes the row norms and transposes the
+    /// right half. `right = None` means the right half is `left` itself
+    /// (an even symmetric path): it then shares `left`'s storage and
+    /// norms, and the derivation runs one finiteness check, one norm pass
+    /// and one transpose. The engine's builds and snapshot installs both
+    /// come through here, so they reach the same layout.
+    pub(crate) fn derive(left: Arc<CsrMatrix>, right: Option<Arc<CsrMatrix>>) -> Result<Halves> {
+        left.check_finite("hetesim left half")?;
+        let left_norms: Arc<[f64]> = left.row_l2_norms().into();
+        let (right, right_norms) = match right {
+            Some(right) => {
+                right.check_finite("hetesim right half")?;
+                let norms = right.row_l2_norms().into();
+                (right, norms)
+            }
+            None => (Arc::clone(&left), Arc::clone(&left_norms)),
+        };
+        Ok(Halves {
+            right_t: right.transpose(),
+            left,
+            right,
+            left_norms,
+            right_norms,
+        })
+    }
+
+    /// True when `right` and `right_norms` share `left`'s storage.
+    pub fn shares_left(&self) -> bool {
+        Arc::ptr_eq(&self.left, &self.right)
+    }
+
+    /// Approximate heap residency of the matrices and norm vectors, with
+    /// shared storage counted once. CSR row pointers are `u32` (nnz is
+    /// checked to fit the u32 index space at construction), so a cached
+    /// half costs `12·nnz + 4·(nrows+1)` matrix bytes — budgets sized
+    /// against the old `usize` pointers hold strictly more entries now.
     pub fn mem_bytes(&self) -> usize {
-        self.left.mem_bytes()
-            + self.right.mem_bytes()
-            + self.right_t.mem_bytes()
-            + (self.left_norms.len() + self.right_norms.len()) * std::mem::size_of::<f64>()
+        let f64s = std::mem::size_of::<f64>();
+        let mut bytes =
+            self.left.mem_bytes() + self.right_t.mem_bytes() + self.left_norms.len() * f64s;
+        if !self.shares_left() {
+            bytes += self.right.mem_bytes();
+        }
+        if !Arc::ptr_eq(&self.left_norms, &self.right_norms) {
+            bytes += self.right_norms.len() * f64s;
+        }
+        bytes
     }
 }
 
@@ -351,14 +396,26 @@ mod tests {
     use std::time::Duration;
 
     fn dummy_halves() -> Halves {
+        let m = Arc::new(CsrMatrix::identity(2));
+        Halves::derive(m, Some(Arc::new(CsrMatrix::identity(2)))).unwrap()
+    }
+
+    #[test]
+    fn shared_halves_count_their_storage_once() {
         let m = CsrMatrix::identity(2);
-        Halves {
-            left: m.clone(),
-            right: m.clone(),
-            right_t: m.clone(),
-            left_norms: vec![1.0, 1.0],
-            right_norms: vec![1.0, 1.0],
-        }
+        let one = m.mem_bytes();
+        let norms = 2 * std::mem::size_of::<f64>();
+        let shared = Halves::derive(Arc::new(m.clone()), None).unwrap();
+        assert!(shared.shares_left());
+        assert!(Arc::ptr_eq(&shared.left_norms, &shared.right_norms));
+        // left + right_t + one norm vector.
+        assert_eq!(shared.mem_bytes(), 2 * one + norms);
+        let separate = Halves::derive(Arc::new(m.clone()), Some(Arc::new(m))).unwrap();
+        assert!(!separate.shares_left());
+        // left + right + right_t + two norm vectors.
+        assert_eq!(separate.mem_bytes(), 3 * one + 2 * norms);
+        assert_eq!(shared.right_t, separate.right_t);
+        assert_eq!(*shared.right_norms, *separate.right_norms);
     }
 
     #[test]
@@ -533,7 +590,7 @@ mod tests {
         let h = again.unwrap();
         // The rebuilt entry carries full, correct data.
         assert_eq!(h.left.nrows(), 2);
-        assert_eq!(h.left_norms, vec![1.0, 1.0]);
+        assert_eq!(*h.left_norms, [1.0, 1.0]);
         assert!(cache.resident_bytes() <= per);
     }
 

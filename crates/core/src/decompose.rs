@@ -71,6 +71,16 @@ pub fn edge_split(w: &CsrMatrix) -> (CsrMatrix, CsrMatrix) {
     (ae, eb)
 }
 
+/// True when the right half of `path` is its left half, factor for
+/// factor: the path is symmetric (Property 1 of the paper) and has an even
+/// number of steps, so `PR⁻¹` walks exactly the steps of `PL`. The planned
+/// chain then gives `PM_PR⁻¹ = PM_PL` bit for bit, and the engine builds
+/// and stores one half. Odd paths never qualify: the edge-object split
+/// gives `W_AE ≠ W_EBᵀ`, so their two chains differ.
+pub fn halves_coincide(path: &MetaPath) -> bool {
+    path.steps().len() % 2 == 0 && path.is_symmetric()
+}
+
 /// Decomposes a relevance path `P` into `PL` / `PR⁻¹` matrix chains
 /// (Definition 5), inserting the edge-object split for odd lengths.
 pub fn decompose(hin: &Hin, path: &MetaPath) -> Result<Decomposition> {
@@ -205,6 +215,25 @@ mod tests {
         // Left goes author->paper, right goes conference->paper.
         assert_eq!(d.left[0].shape(), (2, 3));
         assert_eq!(d.right_rev[0].shape(), (2, 3));
+    }
+
+    #[test]
+    fn even_symmetric_halves_coincide_factor_for_factor() {
+        let hin = toy_hin();
+        for (text, coincide) in [
+            ("APA", true),
+            ("PAP", true),
+            ("APCPA", true),
+            ("APC", false),
+            ("AP", false),
+        ] {
+            let path = MetaPath::parse(hin.schema(), text).unwrap();
+            assert_eq!(halves_coincide(&path), coincide, "{text}");
+            if coincide {
+                let d = decompose(&hin, &path).unwrap();
+                assert_eq!(d.left, d.right_rev, "{text}");
+            }
+        }
     }
 
     #[test]

@@ -1,8 +1,8 @@
 use crate::cache::{CacheStats, Halves, PathCache};
-use crate::decompose::decompose;
+use crate::decompose::{decompose, halves_coincide};
 use crate::reachable::normalize_chain;
 use crate::{CoreError, Result};
-use hetesim_graph::{Hin, MetaPath};
+use hetesim_graph::{GraphError, Hin, MetaPath};
 use hetesim_sparse::{chain, for_each_common, parallel, CsrMatrix, SparseVec};
 use std::sync::Arc;
 
@@ -84,30 +84,40 @@ impl<'a> HeteSimEngine<'a> {
     /// engine restored from a snapshot is bitwise-identical to one that
     /// built the products itself. The halves are validated (finite
     /// values, matching middle dimension) before they are cached.
-    pub fn install_halves(&self, path: &MetaPath, left: CsrMatrix, right: CsrMatrix) -> Result<()> {
-        left.check_finite("hetesim left half")?;
-        right.check_finite("hetesim right half")?;
-        if left.ncols() != right.ncols() {
-            return Err(CoreError::Sparse(
-                hetesim_sparse::SparseError::DimensionMismatch {
-                    op: "install_halves",
-                    left: left.shape(),
-                    right: right.shape(),
-                },
-            ));
-        }
-        let (left_norms, right_norms, right_t) =
-            (left.row_l2_norms(), right.row_l2_norms(), right.transpose());
-        self.cache.insert(
-            &path.cache_key(),
-            Arc::new(Halves {
-                left,
-                right,
-                right_t,
-                left_norms,
-                right_norms,
-            }),
-        );
+    ///
+    /// On an even symmetric path the right half must be the left half
+    /// (the same `Arc`, or an equal matrix); it is then stored once, as a
+    /// build stores it.
+    pub fn install_halves(
+        &self,
+        path: &MetaPath,
+        left: impl Into<Arc<CsrMatrix>>,
+        right: impl Into<Arc<CsrMatrix>>,
+    ) -> Result<()> {
+        let (left, right) = (left.into(), right.into());
+        let right = if halves_coincide(path) {
+            if !Arc::ptr_eq(&left, &right) && left != right {
+                return Err(CoreError::Graph(GraphError::InvalidPath(format!(
+                    "install_halves: path {} is symmetric, but its right half \
+                     differs from its left half",
+                    path.display(self.hin.schema())
+                ))));
+            }
+            None
+        } else {
+            if left.ncols() != right.ncols() {
+                return Err(CoreError::Sparse(
+                    hetesim_sparse::SparseError::DimensionMismatch {
+                        op: "install_halves",
+                        left: left.shape(),
+                        right: right.shape(),
+                    },
+                ));
+            }
+            Some(right)
+        };
+        self.cache
+            .insert(&path.cache_key(), Arc::new(Halves::derive(left, right)?));
         Ok(())
     }
 
@@ -145,7 +155,10 @@ impl<'a> HeteSimEngine<'a> {
         Ok(chain::multiply_chain(&refs, Some(&divs), self.threads)?)
     }
 
-    /// Materializes (or fetches) the half-path products of a path.
+    /// Materializes (or fetches) the half-path products of a path. On an
+    /// even symmetric path only the left chain is built: its right half is
+    /// the same chain of the same factors (see [`halves_coincide`]), so
+    /// [`Halves::derive`] shares `left` instead of building a copy.
     pub(crate) fn halves(&self, path: &MetaPath) -> Result<Arc<Halves>> {
         let key = path.cache_key();
         self.cache.get_or_build(&key, || {
@@ -154,11 +167,12 @@ impl<'a> HeteSimEngine<'a> {
                 steps = path.steps().len(),
                 odd = (path.steps().len() % 2) as u64,
             );
+            let coincide = halves_coincide(path);
             // The chain factors and the stage span end with this block, so
             // the cosine stage below neither holds them nor is timed as
             // chain.
             let (left, right) = {
-                let (ml, dl, mr, dr) = {
+                let (ml, dl, right_factors) = {
                     // Normalize stage: splitting the path into half chains
                     // and computing each factor's row-sum divisors. The
                     // O(nnz) divisions themselves happen inside the chain
@@ -166,33 +180,28 @@ impl<'a> HeteSimEngine<'a> {
                     // divisor vectors are materialized here.
                     let _stage = hetesim_obs::span("core.engine.normalize");
                     let d = decompose(self.hin, path)?;
-                    let dl: Vec<Vec<f64>> = d.left.iter().map(|m| m.row_sum_divisors()).collect();
-                    let dr: Vec<Vec<f64>> =
-                        d.right_rev.iter().map(|m| m.row_sum_divisors()).collect();
-                    (d.left, dl, d.right_rev, dr)
+                    let divisors =
+                        |ms: &[CsrMatrix]| ms.iter().map(|m| m.row_sum_divisors()).collect();
+                    let dl: Vec<Vec<f64>> = divisors(&d.left);
+                    let right_factors = (!coincide).then(|| {
+                        let dr: Vec<Vec<f64>> = divisors(&d.right_rev);
+                        (d.right_rev, dr)
+                    });
+                    (d.left, dl, right_factors)
                 };
                 let _stage = hetesim_obs::span("core.engine.chain");
-                (
-                    self.chain_product_fused(&ml, &dl)?,
-                    self.chain_product_fused(&mr, &dr)?,
-                )
+                let left = self.chain_product_fused(&ml, &dl)?;
+                let right = match right_factors {
+                    Some((mr, dr)) => Some(Arc::new(self.chain_product_fused(&mr, &dr)?)),
+                    None => None,
+                };
+                (Arc::new(left), right)
             };
             // The cosine stage: everything needed to turn raw half
-            // products into normalized scores (norms + transposed right
-            // half + finiteness validation of both operands).
-            let (left_norms, right_norms, right_t) = {
-                let _stage = hetesim_obs::span("core.engine.cosine");
-                left.check_finite("hetesim left half")?;
-                right.check_finite("hetesim right half")?;
-                (left.row_l2_norms(), right.row_l2_norms(), right.transpose())
-            };
-            Ok::<_, CoreError>(Halves {
-                left,
-                right,
-                right_t,
-                left_norms,
-                right_norms,
-            })
+            // products into normalized scores (finiteness validation,
+            // norms and the transposed right half).
+            let _stage = hetesim_obs::span("core.engine.cosine");
+            Halves::derive(left, right)
         })
     }
 
@@ -239,15 +248,16 @@ impl<'a> HeteSimEngine<'a> {
     pub fn matrix(&self, path: &MetaPath) -> Result<CsrMatrix> {
         let _span = hetesim_obs::span("core.engine.matrix");
         let h = self.halves(path)?;
-        let raw = parallel::matmul_parallel(&h.left, &h.right_t, self.threads)?;
-        // Scale entry (a, b) by 1 / (||left_a|| * ||right_b||), in place on
-        // the product's own structure. Any stored entry has both norms > 0,
+        // Entry (a, b) is divided by ||left_a|| * ||right_b|| as the
+        // product writes its row. Any stored entry has both norms > 0,
         // since the product entry requires overlapping support.
-        Ok(raw.map_stored(|a, b, v| {
-            let denom = h.left_norms[a] * h.right_norms[b];
-            debug_assert!(denom > 0.0);
-            Some(v / denom)
-        }))
+        Ok(parallel::matmul_parallel_scaled(
+            &h.left,
+            &h.right_t,
+            &h.left_norms,
+            &h.right_norms,
+            self.threads,
+        )?)
     }
 
     /// Calls `meet(middle, left, right)` for every middle object that row
@@ -796,6 +806,40 @@ mod tests {
                 }
             }
         }
+    }
+
+    #[test]
+    fn symmetric_paths_build_and_install_one_shared_half() {
+        let hin = fig4();
+        let built = HeteSimEngine::with_threads(&hin, 1);
+        let apa = MetaPath::parse(hin.schema(), "APA").unwrap();
+        let apc = MetaPath::parse(hin.schema(), "APC").unwrap();
+        let h = built.materialized_halves(&apa).unwrap();
+        assert!(h.shares_left());
+        assert!(!built.materialized_halves(&apc).unwrap().shares_left());
+
+        // Equal copies install as the shared layout a build gives.
+        let installed = HeteSimEngine::with_threads(&hin, 1);
+        installed
+            .install_halves(&apa, (*h.left).clone(), (*h.right).clone())
+            .unwrap();
+        let got = installed.materialized_halves(&apa).unwrap();
+        assert!(got.shares_left());
+        assert_eq!(got.mem_bytes(), h.mem_bytes());
+        assert_eq!(installed.matrix(&apa).unwrap(), built.matrix(&apa).unwrap());
+
+        // A right half that differs from the left contradicts Property 1.
+        let other = built.materialized_halves(&apc).unwrap();
+        let wrong = (*h.left).clone().map_stored(|_, _, v| Some(v * 0.5));
+        assert!(matches!(
+            installed.install_halves(&apa, (*h.left).clone(), wrong),
+            Err(CoreError::Graph(_))
+        ));
+        // Mismatched middle dimensions are still rejected on other paths.
+        assert!(matches!(
+            installed.install_halves(&apc, (*other.left).clone(), (*h.left).clone().transpose()),
+            Err(CoreError::Sparse(_))
+        ));
     }
 
     #[test]

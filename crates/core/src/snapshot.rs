@@ -24,6 +24,7 @@
 //! validation, so corrupt input can never panic or load silently wrong.
 
 use crate::cache::Halves;
+use crate::decompose::halves_coincide;
 use hetesim_graph::{binio as gbin, Direction, GraphError, Hin, MetaPath, Schema, Step};
 use hetesim_sparse::{binio as sbin, CsrMatrix, SparseError};
 use std::fmt;
@@ -34,7 +35,10 @@ use std::sync::Arc;
 pub const MAGIC: [u8; 8] = *b"HETESNAP";
 
 /// Format version written by this build and the only one it accepts.
-pub const VERSION: u32 = 1;
+/// Version 2 stores one half for a path whose halves coincide (an even
+/// symmetric path, see [`crate::decompose::halves_coincide`]); version 1
+/// stored both.
+pub const VERSION: u32 = 2;
 
 /// Fixed header length in bytes (magic through header CRC).
 const HEADER_LEN: usize = 32;
@@ -308,9 +312,10 @@ pub struct WarmPath {
     /// Human-readable display form stored alongside (informational).
     pub spec: String,
     /// `PM_PL` (source type × middle).
-    pub left: CsrMatrix,
-    /// `PM_PR⁻¹` (target type × middle).
-    pub right: CsrMatrix,
+    pub left: Arc<CsrMatrix>,
+    /// `PM_PR⁻¹` (target type × middle). The same `Arc` as `left` when
+    /// the path's halves coincide: the file stores that half once.
+    pub right: Arc<CsrMatrix>,
 }
 
 /// A fully loaded and verified snapshot.
@@ -358,7 +363,9 @@ fn encode_paths(schema: &Schema, warm: &[(MetaPath, Arc<Halves>)], out: &mut Vec
         push_str(&path.cache_key(), out);
         push_str(&path.display(schema), out);
         sbin::encode_csr(&halves.left, out);
-        sbin::encode_csr(&halves.right, out);
+        if !halves_coincide(path) {
+            sbin::encode_csr(&halves.right, out);
+        }
     }
 }
 
@@ -368,7 +375,8 @@ fn encode_paths(schema: &Schema, warm: &[(MetaPath, Arc<Halves>)], out: &mut Vec
 /// assembled in memory, written to `<path>.tmp`, then renamed over the
 /// destination — a crash never leaves a half-written snapshot behind.
 ///
-/// Only the `left`/`right` halves are stored per warmed path; the derived
+/// Only the `left`/`right` halves are stored per warmed path, and only
+/// `left` when the two coincide (an even symmetric path); the derived
 /// transpose and row norms are recomputed on load through the engine's
 /// own code path, which keeps the file smaller and guarantees
 /// bit-identity with a freshly built engine.
@@ -671,8 +679,12 @@ fn decode_paths(buf: &[u8], schema: &Schema) -> Result<Vec<WarmPath>> {
         let key = read_str(&mut reader, "warm path key")?;
         let spec = read_str(&mut reader, "warm path spec")?;
         let path = path_from_key(schema, &key)?;
-        let left = sbin::decode_csr(&mut reader)?;
-        let right = sbin::decode_csr(&mut reader)?;
+        let left = Arc::new(sbin::decode_csr(&mut reader)?);
+        let right = if halves_coincide(&path) {
+            Arc::clone(&left)
+        } else {
+            Arc::new(sbin::decode_csr(&mut reader)?)
+        };
         if left.ncols() != right.ncols() {
             return Err(SnapshotError::Corrupt {
                 what: format!(

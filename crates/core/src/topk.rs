@@ -334,18 +334,10 @@ mod tests {
     }
 
     use hetesim_sparse::{CooMatrix, CsrMatrix};
+    use std::sync::Arc;
 
     fn halves_from(left: CsrMatrix, right: CsrMatrix) -> Halves {
-        let left_norms = left.row_l2_norms();
-        let right_norms = right.row_l2_norms();
-        let right_t = right.transpose();
-        Halves {
-            left,
-            right,
-            right_t,
-            left_norms,
-            right_norms,
-        }
+        Halves::derive(Arc::new(left), Some(Arc::new(right))).unwrap()
     }
 
     /// A skewed fixture: source 0 reaches most middles (hot row), several

@@ -223,6 +223,87 @@ fn wrong_magic_and_version_are_typed() {
 }
 
 #[test]
+fn v2_stores_one_half_for_symmetric_paths_and_roundtrips() {
+    let hin = toy_hin();
+    let engine = HeteSimEngine::with_threads(&hin, 1);
+    let apc = MetaPath::parse(hin.schema(), "A-P-C").unwrap();
+    let apa = MetaPath::parse(hin.schema(), "A-P-A").unwrap();
+    let (hc, ha) = (
+        engine.materialized_halves(&apc).unwrap(),
+        engine.materialized_halves(&apa).unwrap(),
+    );
+    assert!(!hc.shares_left() && ha.shares_left());
+    let file = Scratch(scratch("v2"));
+    let info = snapshot::write_snapshot(
+        &file.0,
+        &hin,
+        &[(apc.clone(), hc.clone()), (apa.clone(), ha.clone())],
+    )
+    .unwrap();
+    assert_eq!(info.version, 2);
+
+    // The paths section holds three matrices: A-P-C's two halves and
+    // A-P-A's one.
+    let csr_bytes = |m: &hetesim_sparse::CsrMatrix| 24 + 4 * (m.nrows() + 1) + 12 * m.nnz();
+    let strings: usize = [&apc, &apa]
+        .iter()
+        .map(|p| 8 + p.cache_key().len() + p.display(hin.schema()).len())
+        .sum();
+    let paths = info.sections.iter().find(|s| s.name == "paths").unwrap();
+    assert_eq!(
+        paths.bytes as usize,
+        4 + strings + csr_bytes(&hc.left) + csr_bytes(&hc.right) + csr_bytes(&ha.left)
+    );
+
+    let snap = snapshot::read_snapshot(&file.0).unwrap();
+    assert_eq!(snap.version, 2);
+    let cold = HeteSimEngine::with_threads(&snap.hin, 1);
+    for w in snap.warm {
+        assert_eq!(
+            std::sync::Arc::ptr_eq(&w.left, &w.right),
+            w.path == apa,
+            "{}",
+            w.spec
+        );
+        cold.install_halves(&w.path, w.left, w.right).unwrap();
+    }
+    let installed = cold.materialized_halves(&apa).unwrap();
+    assert!(installed.shares_left());
+    assert_eq!(installed.mem_bytes(), ha.mem_bytes());
+    assert_eq!(cold.cache_stats().bytes, engine.cache_stats().bytes);
+    for path in [&apc, &apa] {
+        assert_eq!(all_scores(&cold, path), all_scores(&engine, path));
+    }
+}
+
+#[test]
+fn version_1_file_is_rejected_with_the_typed_error() {
+    // A snapshot warming only A-P-C has the same bytes under both
+    // layouts except the version field and the header CRC that covers it:
+    // rewrite both to get a genuine version 1 file.
+    let (file, _) = toy_snapshot("v1");
+    let mut bytes = std::fs::read(&file.0).unwrap();
+    bytes[8..12].copy_from_slice(&1u32.to_le_bytes());
+    let sections = u32::from_le_bytes([bytes[12], bytes[13], bytes[14], bytes[15]]) as usize;
+    let mut guarded = bytes[..28].to_vec();
+    guarded.extend_from_slice(&bytes[32..32 + 24 * sections]);
+    let crc = snapshot::crc32(&guarded);
+    bytes[28..32].copy_from_slice(&crc.to_le_bytes());
+    std::fs::write(&file.0, &bytes).unwrap();
+    assert_eq!(
+        snapshot::read_snapshot(&file.0).unwrap_err(),
+        SnapshotError::UnsupportedVersion {
+            found: 1,
+            supported: 2
+        }
+    );
+    assert!(matches!(
+        snapshot::snapshot_info(&file.0),
+        Err(SnapshotError::UnsupportedVersion { found: 1, .. })
+    ));
+}
+
+#[test]
 fn missing_file_is_io_error() {
     let err = snapshot::read_snapshot(std::path::Path::new("/no/such/net.snap")).unwrap_err();
     assert!(matches!(err, SnapshotError::Io(_)));

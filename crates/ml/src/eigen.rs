@@ -151,8 +151,12 @@ pub fn subspace_iteration(
     }
     orthonormalize(&mut x, &mut rng);
     let mut prev = vec![f64::INFINITY; k];
+    // `ax` is always `A·x`: each iteration's Rayleigh product `A·y`
+    // becomes the next iteration's `A·x`, and the last one serves the
+    // Rayleigh–Ritz step below, so every iteration costs one product.
+    let mut ax = a.matmul_dense(&x).expect("square operator");
     for _ in 0..max_iterations {
-        let mut y = a.matmul_dense(&x).expect("square operator");
+        let mut y = ax;
         orthonormalize(&mut y, &mut rng);
         // Rayleigh quotients of the current basis.
         let ay = a.matmul_dense(&y).expect("square operator");
@@ -168,6 +172,7 @@ pub fn subspace_iteration(
             .map(|(a, b)| (a - b).abs())
             .fold(0.0, f64::max);
         x = y;
+        ax = ay;
         prev = lambda;
         if delta < tol {
             break;
@@ -177,7 +182,6 @@ pub fn subspace_iteration(
     // subspace, but individual columns are only an orthonormal basis of it.
     // Project A into the subspace (H = XᵀAX), solve the small dense
     // problem exactly, and rotate the basis into Ritz vectors.
-    let ax = a.matmul_dense(&x).expect("square operator");
     let mut h = DenseMatrix::zeros(k, k);
     for i in 0..k {
         for j in 0..k {

@@ -680,6 +680,10 @@ impl Server {
             accepted.elapsed().as_micros() as u64,
         );
         if let Some(scope) = scope {
+            // A handler's own 4xx/5xx answer is an error, not "ok".
+            if verdict == "ok" && response.status >= 400 {
+                verdict = "error";
+            }
             hetesim_obs::trace_annotate("status", response.status.to_string());
             hetesim_obs::trace_annotate("verdict", verdict.to_string());
             if let Some(trace) = scope.finish() {

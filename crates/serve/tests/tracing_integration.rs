@@ -302,6 +302,51 @@ fn slow_requests_are_captured_even_when_head_sampling_drops_them() {
 }
 
 #[test]
+fn handler_errors_carry_the_error_verdict() {
+    hetesim_obs::enable();
+    let cfg = ServeConfig {
+        trace_sample: 1,
+        ..config()
+    };
+    let handler = |req: &Request| match req.path() {
+        "/missing" => Response::error(404, "no such thing"),
+        "/broken" => Response::error(500, "handler failed"),
+        _ => Response::json(200, "{\"ok\":true}"),
+    };
+    with_handler(&cfg, handler, |addr| {
+        let mut want = Vec::new();
+        for (target, status, verdict) in [
+            ("/fine", 200, "ok"),
+            ("/missing", 404, "error"),
+            ("/broken", 500, "error"),
+        ] {
+            let r = client::get(addr, target).unwrap();
+            assert_eq!(r.status, status);
+            let id = r.header("x-trace-id").unwrap().to_string();
+            want.push((id, status.to_string(), verdict));
+        }
+        let traces = client::get(addr, "/traces/recent").unwrap();
+        let parsed = Json::parse(&traces.body).unwrap();
+        for (id, status, verdict) in want {
+            let trace = parsed
+                .as_array()
+                .unwrap()
+                .iter()
+                .find(|t| t.get("trace_id").and_then(Json::as_str) == Some(id.as_str()))
+                .unwrap_or_else(|| panic!("trace {id} not kept: {}", traces.body));
+            let annotation = |key: &str| {
+                trace
+                    .get("annotations")
+                    .and_then(|a| a.get(key))
+                    .and_then(Json::as_str)
+            };
+            assert_eq!(annotation("status"), Some(status.as_str()));
+            assert_eq!(annotation("verdict"), Some(verdict), "trace {id}");
+        }
+    });
+}
+
+#[test]
 fn trace_ring_serves_newest_first_capped_by_query_param() {
     let (hin, _) = network();
     hetesim_obs::enable();

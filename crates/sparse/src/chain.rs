@@ -12,6 +12,7 @@
 //! [`multiply_chain_left_to_right`] is the naive order, kept public as the
 //! test oracle and ablation baseline.
 
+use crate::kernel::Divisors;
 use crate::{CsrMatrix, Result, SparseError};
 
 /// Estimated cost and shape/density of an (intermediate) product.
@@ -153,10 +154,15 @@ impl ChainPlan {
         // `matmul_parallel_fused` re-checks with exact counts and may
         // still fall back, so a high estimate can never force a slow
         // parallel run.
+        let div = Divisors {
+            lhs: ld,
+            rhs: rd,
+            out: None,
+        };
         let product = if threads > 1 && self.mult_flops[i][j] >= PARALLEL_EST_FLOP_THRESHOLD {
-            crate::parallel::matmul_parallel_fused(lm, rm, ld, rd, threads)?
+            crate::parallel::matmul_parallel_fused(lm, rm, div, threads)?
         } else {
-            lm.matmul_fused(rm, ld, rd)?
+            lm.matmul_fused(rm, div)?
         };
         Ok(Operand::Prod(product))
     }
@@ -170,8 +176,8 @@ impl ChainPlan {
     /// (see [`multiply_chain`]). The association order is the plan's
     /// regardless of `threads`, and the parallel kernel is bit-identical
     /// to the serial one, so the result is the same at every thread
-    /// count.
-    pub fn execute(
+    /// count. [`multiply_chain`] is its public entry point.
+    pub(crate) fn execute(
         &self,
         mats: &[&CsrMatrix],
         divisors: Option<&[&[f64]]>,

@@ -1,4 +1,4 @@
-use crate::kernel;
+use crate::kernel::{self, Divisors};
 use crate::scratch::{self, Scratch};
 use crate::{CooMatrix, DenseMatrix, Result, SparseError, SparseVec};
 
@@ -310,23 +310,20 @@ impl CsrMatrix {
     /// assert!(i.matmul(&CsrMatrix::identity(4)).is_err()); // shape checked
     /// ```
     pub fn matmul(&self, rhs: &CsrMatrix) -> Result<CsrMatrix> {
-        self.matmul_fused(rhs, None, None)
+        self.matmul_fused(rhs, Divisors::default())
     }
 
-    /// The serial SpGEMM kernel with optional fused row normalization:
-    /// computes `rowdiv(self, lhs_div) * rowdiv(rhs, rhs_div)` where
-    /// `rowdiv` divides each row by its divisor (`None` = no scaling),
-    /// without materializing the normalized operands. Each left value is
-    /// divided once on load in the outer loop; `rhs` values are
-    /// pre-divided once into pooled scratch. The divisions are exactly
-    /// those `row_normalized` performs, so the fused product is bitwise
-    /// equal to normalize-then-multiply.
-    pub(crate) fn matmul_fused(
-        &self,
-        rhs: &CsrMatrix,
-        lhs_div: Option<&[f64]>,
-        rhs_div: Option<&[f64]>,
-    ) -> Result<CsrMatrix> {
+    /// The serial SpGEMM kernel with optional fused divisors: computes
+    /// `rowdiv(self, div.lhs) * rowdiv(rhs, div.rhs)` where `rowdiv`
+    /// divides each row by its divisor (`None` = no scaling), without
+    /// materializing the normalized operands, and with `div.out` divides
+    /// each output entry `(r, c)` by `rows[r] * cols[c]` as its row is
+    /// written. Each left value is divided once on load in the outer
+    /// loop; `rhs` values are pre-divided once into pooled scratch. The
+    /// divisions are exactly those `row_normalized` and a value pass over
+    /// the product perform, so the fused product is bitwise equal to
+    /// normalize-then-multiply-then-scale.
+    pub(crate) fn matmul_fused(&self, rhs: &CsrMatrix, div: Divisors<'_>) -> Result<CsrMatrix> {
         if self.ncols != rhs.nrows {
             return Err(SparseError::DimensionMismatch {
                 op: "spgemm",
@@ -365,13 +362,14 @@ impl CsrMatrix {
             touched,
             vals,
         } = &mut s;
-        let rhs_vals: &[f64] = match rhs_div {
+        let rhs_vals: &[f64] = match div.rhs {
             Some(d) => {
                 kernel::scaled_values_into(rhs, d, vals);
                 vals
             }
             None => &rhs.values,
         };
+        let lhs_div = div.lhs;
         let mut indptr = Vec::with_capacity(nrows + 1);
         indptr.push(0u32);
         // The flop total bounds the output size exactly (one entry per
@@ -418,6 +416,9 @@ impl CsrMatrix {
                     self, lhs_div, rhs, rhs_vals, r, acc, mark, *stamp, touched, ind, val,
                 )
             };
+            if let Some((rows, cols)) = div.out {
+                kernel::divide_row(&ind[..written], &mut val[..written], rows[r], cols);
+            }
             indices.truncate(len + written);
             values.truncate(len + written);
             if check_nnz(indices.len()).is_err() {
@@ -925,7 +926,14 @@ mod tests {
         let b = pseudo_random(90, 120, 4, 32);
         let expect = a.row_normalized().matmul(&b.row_normalized()).unwrap();
         let fused = a
-            .matmul_fused(&b, Some(&a.row_sum_divisors()), Some(&b.row_sum_divisors()))
+            .matmul_fused(
+                &b,
+                Divisors {
+                    lhs: Some(&a.row_sum_divisors()),
+                    rhs: Some(&b.row_sum_divisors()),
+                    out: None,
+                },
+            )
             .unwrap();
         assert_eq!(fused, expect);
     }

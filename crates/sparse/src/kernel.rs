@@ -32,8 +32,28 @@
 //! a caller-provided (possibly pre-divided) slice. Each value is divided
 //! exactly once by exactly the divisor `row_normalized` would have used,
 //! so a fused product is bit-identical to normalize-then-multiply.
+//!
+//! Fused output scaling: a product may also divide each written entry
+//! `(r, c)` by `rows[r] * cols[c]` right after its row is gathered
+//! ([`divide_row`]), after the shared `v != 0.0` drop — the same
+//! expression a later value pass over the finished product would apply,
+//! so the scaled product is bit-identical to multiply-then-scale.
 
 use crate::CsrMatrix;
+
+/// The divisors one product applies while it runs. Each value is divided
+/// exactly once, so every combination is bit-identical to materializing
+/// the scaled operands or scaling the finished product.
+#[derive(Debug, Clone, Copy, Default)]
+pub(crate) struct Divisors<'a> {
+    /// Per-row divisors of the left operand, applied as its values load.
+    pub lhs: Option<&'a [f64]>,
+    /// Per-row divisors of the right operand, applied once into scratch.
+    pub rhs: Option<&'a [f64]>,
+    /// Per-row and per-column divisors of the output: entry `(r, c)` is
+    /// divided by `rows[r] * cols[c]` as its row is written.
+    pub out: Option<(&'a [f64], &'a [f64])>,
+}
 
 /// Dense-kernel budget: the bitmap gather may scan at most this many
 /// 64-column words per emitted entry. With the cutoff
@@ -111,6 +131,17 @@ pub(crate) fn scaled_values_into(m: &CsrMatrix, div: &[f64], out: &mut Vec<f64>)
         let d = div[r];
         let (lo, hi) = (indptr[r] as usize, indptr[r + 1] as usize);
         out.extend(m.values()[lo..hi].iter().map(|v| v / d));
+    }
+}
+
+/// Divides the entries of one freshly written output row by
+/// `row_div * col_div[c]`. The divisor product is formed first and
+/// divided into the value, exactly as
+/// `map_stored(|r, c, v| Some(v / (rows[r] * cols[c])))` would on the
+/// finished product.
+pub(crate) fn divide_row(ind: &[u32], val: &mut [f64], row_div: f64, col_div: &[f64]) {
+    for (v, &c) in val.iter_mut().zip(ind) {
+        *v /= row_div * col_div[c as usize];
     }
 }
 

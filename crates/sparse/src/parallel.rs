@@ -39,6 +39,10 @@
 //! matrices entirely. Each value is divided exactly once by exactly the
 //! divisor `row_normalized` would have used, keeping the fused product
 //! bitwise equal to the unfused pipeline.
+//! It also supports **fused output scaling** ([`matmul_parallel_scaled`]):
+//! each output entry `(r, c)` is divided by `rows[r] * cols[c]` as its
+//! row is written, so HeteSim's cosine-normalized relevance matrix needs
+//! no second pass over the product.
 //!
 //! The serial kernel ([`CsrMatrix::matmul`]) remains the reference
 //! implementation; `matmul_parallel` agrees with it bit-for-bit
@@ -60,7 +64,7 @@
 //! retrievable once via [`take_pool_stats`], which the bench attaches to
 //! `BENCH_spgemm.json` runs.
 
-use crate::kernel;
+use crate::kernel::{self, Divisors};
 use crate::scratch::{self, Scratch};
 use crate::{check_nnz, CsrMatrix, Result, SparseError};
 use hetesim_obs::lockcheck::TrackedMutex as Mutex;
@@ -245,33 +249,60 @@ pub fn symbolic_row_nnz(lhs: &CsrMatrix, rhs: &CsrMatrix) -> Result<Vec<usize>> 
 /// The output is bit-identical to [`CsrMatrix::matmul`] at every thread
 /// count.
 pub fn matmul_parallel(lhs: &CsrMatrix, rhs: &CsrMatrix, threads: usize) -> Result<CsrMatrix> {
-    matmul_parallel_fused(lhs, rhs, None, None, threads)
+    matmul_parallel_fused(lhs, rhs, Divisors::default(), threads)
 }
 
-/// [`matmul_parallel`] with fused row normalization: computes
-/// `rowdiv(lhs, lhs_div) * rowdiv(rhs, rhs_div)` where `rowdiv` divides
+/// [`matmul_parallel`] with every output entry `(r, c)` divided by
+/// `row_div[r] * col_div[c]` as its row is written. Entries are dropped
+/// by the kernels' `v != 0.0` rule before the division, and every kept
+/// entry is divided, so the result is bit-identical to
+/// `matmul_parallel(lhs, rhs, threads)?.map_stored(|r, c, v| Some(v / (row_div[r] * col_div[c])))`
+/// at every thread count, without the second pass over the product.
+pub fn matmul_parallel_scaled(
+    lhs: &CsrMatrix,
+    rhs: &CsrMatrix,
+    row_div: &[f64],
+    col_div: &[f64],
+    threads: usize,
+) -> Result<CsrMatrix> {
+    if row_div.len() != lhs.nrows() || col_div.len() != rhs.ncols() {
+        return Err(SparseError::DimensionMismatch {
+            op: "scaled spgemm divisors",
+            left: (row_div.len(), col_div.len()),
+            right: (lhs.nrows(), rhs.ncols()),
+        });
+    }
+    let div = Divisors {
+        out: Some((row_div, col_div)),
+        ..Divisors::default()
+    };
+    matmul_parallel_fused(lhs, rhs, div, threads)
+}
+
+/// [`matmul_parallel`] with fused divisors: computes
+/// `rowdiv(lhs, div.lhs) * rowdiv(rhs, div.rhs)` where `rowdiv` divides
 /// each row of its operand by the corresponding divisor (`None` = no
-/// scaling), without materializing the scaled operands. With divisors
-/// from [`CsrMatrix::row_sum_divisors`] the result is bit-identical to
+/// scaling), without materializing the scaled operands, and divides the
+/// output by `div.out` as each row is written. With divisors from
+/// [`CsrMatrix::row_sum_divisors`] the result is bit-identical to
 /// `lhs.row_normalized().matmul(&rhs.row_normalized())` — each stored
 /// value is divided exactly once by exactly the divisor the materialized
 /// pipeline uses.
 pub(crate) fn matmul_parallel_fused(
     lhs: &CsrMatrix,
     rhs: &CsrMatrix,
-    lhs_div: Option<&[f64]>,
-    rhs_div: Option<&[f64]>,
+    div: Divisors<'_>,
     threads: usize,
 ) -> Result<CsrMatrix> {
     check_dims(lhs, rhs)?;
     if threads <= 1 || lhs.nrows() == 0 {
-        return lhs.matmul_fused(rhs, lhs_div, rhs_div);
+        return lhs.matmul_fused(rhs, div);
     }
     let (flops, total_flops) = row_flops(lhs, rhs);
     if total_flops < PARALLEL_FLOP_THRESHOLD {
-        return lhs.matmul_fused(rhs, lhs_div, rhs_div);
+        return lhs.matmul_fused(rhs, div);
     }
-    two_phase(lhs, rhs, lhs_div, rhs_div, threads, flops, total_flops)
+    two_phase(lhs, rhs, div, threads, flops, total_flops)
 }
 
 /// The two-phase kernel without the size fallback: always runs symbolic +
@@ -285,7 +316,14 @@ pub fn matmul_two_phase(lhs: &CsrMatrix, rhs: &CsrMatrix, threads: usize) -> Res
         return lhs.matmul(rhs);
     }
     let (flops, total_flops) = row_flops(lhs, rhs);
-    two_phase(lhs, rhs, None, None, threads.max(1), flops, total_flops)
+    two_phase(
+        lhs,
+        rhs,
+        Divisors::default(),
+        threads.max(1),
+        flops,
+        total_flops,
+    )
 }
 
 fn check_dims(lhs: &CsrMatrix, rhs: &CsrMatrix) -> Result<()> {
@@ -303,8 +341,7 @@ fn check_dims(lhs: &CsrMatrix, rhs: &CsrMatrix) -> Result<()> {
 fn two_phase(
     lhs: &CsrMatrix,
     rhs: &CsrMatrix,
-    lhs_div: Option<&[f64]>,
-    rhs_div: Option<&[f64]>,
+    div: Divisors<'_>,
     threads: usize,
     flops: Vec<u64>,
     total_flops: u64,
@@ -312,8 +349,9 @@ fn two_phase(
     let nrows = lhs.nrows();
     let ncols = rhs.ncols();
     let threads = threads.min(nrows).max(1);
+    let lhs_div = div.lhs;
     debug_assert!(lhs_div.map_or(true, |d| d.len() == nrows));
-    debug_assert!(rhs_div.map_or(true, |d| d.len() == rhs.nrows()));
+    debug_assert!(div.rhs.map_or(true, |d| d.len() == rhs.nrows()));
     let _span = hetesim_obs::span!(
         "sparse.parallel.matmul",
         rows = nrows,
@@ -401,7 +439,7 @@ fn two_phase(
     // `actual` records how many entries each row really produced; it can
     // fall short of the symbolic count only under exact cancellation.
     let mut host = scratch::take(0);
-    let rhs_vals: &[f64] = match rhs_div {
+    let rhs_vals: &[f64] = match div.rhs {
         Some(d) => {
             kernel::scaled_values_into(rhs, d, &mut host.vals);
             &host.vals
@@ -503,6 +541,10 @@ fn two_phase(
                                     &mut val[st..en],
                                 )
                             };
+                            if let Some((rows, cols)) = div.out {
+                                let end = st + act[i];
+                                kernel::divide_row(&ind[st..end], &mut val[st..end], rows[r], cols);
+                            }
                         }
                         busy += work.elapsed_us();
                     }
@@ -675,24 +717,93 @@ mod tests {
         let expect = a.row_normalized().matmul(&b.row_normalized()).unwrap();
         let (da, db) = (a.row_sum_divisors(), b.row_sum_divisors());
         let (flops, total) = row_flops(&a, &b);
+        let both = Divisors {
+            lhs: Some(&da),
+            rhs: Some(&db),
+            out: None,
+        };
         for threads in [1, 2, 4] {
             assert_eq!(
-                two_phase(&a, &b, Some(&da), Some(&db), threads, flops.clone(), total).unwrap(),
+                two_phase(&a, &b, both, threads, flops.clone(), total).unwrap(),
                 expect,
                 "threads={threads}"
             );
             assert_eq!(
-                matmul_parallel_fused(&a, &b, Some(&da), Some(&db), threads).unwrap(),
+                matmul_parallel_fused(&a, &b, both, threads).unwrap(),
                 expect,
                 "threads={threads} (auto)"
             );
         }
         // One-sided fusion too.
         let left_only = a.row_normalized().matmul(&b).unwrap();
+        let lhs_only = Divisors {
+            lhs: Some(&da),
+            ..Divisors::default()
+        };
         assert_eq!(
-            two_phase(&a, &b, Some(&da), None, 3, flops, total).unwrap(),
+            two_phase(&a, &b, lhs_only, 3, flops, total).unwrap(),
             left_only
         );
+    }
+
+    /// Divisors for `n` rows or columns that make every division inexact,
+    /// so dividing in another order or by another rounding shows.
+    fn odd_divisors(n: usize, salt: usize) -> Vec<f64> {
+        (0..n)
+            .map(|i| 0.3 + ((i * 7 + salt) % 11) as f64 / 3.0)
+            .collect()
+    }
+
+    #[test]
+    fn output_divisors_match_scaling_the_product() {
+        // Row 0 cancels exactly, so the two-phase kernel compacts; the
+        // skewed pair routes rows through all three kernels.
+        let mut a = CooMatrix::new(300, 2);
+        a.push(0, 0, 1.0);
+        a.push(0, 1, 1.0);
+        for r in 1..300 {
+            a.push(r, r % 2, 1.0 + (r % 3) as f64);
+        }
+        let mut b = CooMatrix::new(2, 4);
+        b.push(0, 0, 1.0);
+        b.push(1, 0, -1.0);
+        b.push(0, 1, 2.0);
+        b.push(1, 2, 3.0);
+        let cancelling = (a.to_csr(), b.to_csr());
+        let skewed = (skewed(500, 100, 4000, 29), pseudo_random(100, 2600, 6, 31));
+        for (a, b) in [cancelling, skewed] {
+            let (rows, cols) = (odd_divisors(a.nrows(), 1), odd_divisors(b.ncols(), 5));
+            let want = a
+                .matmul(&b)
+                .unwrap()
+                .map_stored(|r, c, v| Some(v / (rows[r] * cols[c])));
+            let div = Divisors {
+                out: Some((&rows, &cols)),
+                ..Divisors::default()
+            };
+            assert_eq!(a.matmul_fused(&b, div).unwrap(), want);
+            let (flops, total) = row_flops(&a, &b);
+            for threads in [2, 4] {
+                assert_eq!(
+                    two_phase(&a, &b, div, threads, flops.clone(), total).unwrap(),
+                    want,
+                    "threads={threads}"
+                );
+                assert_eq!(
+                    matmul_parallel_scaled(&a, &b, &rows, &cols, threads).unwrap(),
+                    want
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn output_divisor_lengths_are_checked() {
+        let a = pseudo_random(10, 8, 2, 1);
+        let b = pseudo_random(8, 6, 2, 2);
+        assert!(matmul_parallel_scaled(&a, &b, &[1.0; 10], &[1.0; 6], 2).is_ok());
+        assert!(matmul_parallel_scaled(&a, &b, &[1.0; 9], &[1.0; 6], 2).is_err());
+        assert!(matmul_parallel_scaled(&a, &b, &[1.0; 10], &[1.0; 8], 2).is_err());
     }
 
     #[test]

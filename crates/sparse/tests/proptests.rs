@@ -155,6 +155,60 @@ fn arb_boundary_pair() -> impl Strategy<Value = (CsrMatrix, CsrMatrix)> {
         })
 }
 
+/// A compatible pair with small signed integer values, so products often
+/// cancel to exactly zero. `big` pairs clear the parallel kernel's flop
+/// threshold (2^17 multiply-adds), so the two-phase kernel runs and
+/// compacts the rows that cancelled.
+fn arb_signed_pair(big: bool) -> impl Strategy<Value = (CsrMatrix, CsrMatrix)> {
+    let (m, k, n, lhs_nnz, rhs_nnz) = if big {
+        (160, 24, 240, 3000..3200, 4200..4400)
+    } else {
+        (12, 8, 12, 0..30, 0..30)
+    };
+    let signed = |v: i8| if v < 0 { v as f64 } else { (v + 1) as f64 };
+    let a = proptest::collection::vec((0..m, 0..k, -3i8..3), lhs_nnz).prop_map(move |triples| {
+        let mut coo = CooMatrix::new(m, k);
+        for (i, j, v) in triples {
+            coo.push(i, j, signed(v));
+        }
+        coo.to_csr()
+    });
+    let b = proptest::collection::vec((0..k, 0..n, -3i8..3), rhs_nnz).prop_map(move |triples| {
+        let mut coo = CooMatrix::new(k, n);
+        for (i, j, v) in triples {
+            coo.push(i, j, signed(v));
+        }
+        coo.to_csr()
+    });
+    (a, b)
+}
+
+/// Fused output divisors equal dividing the finished product in one
+/// `map_stored` pass, bit for bit, at 1, 2 and 4 threads.
+fn assert_scaled_agrees(
+    a: &CsrMatrix,
+    b: &CsrMatrix,
+    salt: u32,
+) -> std::result::Result<(), TestCaseError> {
+    let divisors = |n: usize, s: u32| -> Vec<f64> {
+        (0..n)
+            .map(|i| 0.25 + ((i as u32 * 13 + s) % 17) as f64 / 7.0)
+            .collect()
+    };
+    let (rows, cols) = (divisors(a.nrows(), salt), divisors(b.ncols(), salt + 3));
+    let bits = |m: &CsrMatrix| m.values().iter().map(|f| f.to_bits()).collect::<Vec<_>>();
+    for threads in [1usize, 2, 4] {
+        let want = parallel::matmul_parallel(a, b, threads)
+            .unwrap()
+            .map_stored(|r, c, v| Some(v / (rows[r] * cols[c])));
+        let got = parallel::matmul_parallel_scaled(a, b, &rows, &cols, threads).unwrap();
+        prop_assert_eq!(got.indptr(), want.indptr(), "threads={}", threads);
+        prop_assert_eq!(got.indices(), want.indices(), "threads={}", threads);
+        prop_assert_eq!(bits(&got), bits(&want), "threads={}", threads);
+    }
+    Ok(())
+}
+
 /// Per-row bit-for-bit equality of the two-phase kernel against serial at
 /// 1, 2, 4 and 7 threads (including `threads > nrows`), plus exactness of
 /// the symbolic nnz counts and agreement with the pre-adaptive reference
@@ -480,6 +534,12 @@ proptest! {
         prop_assert_eq!(seen, want);
     }
 
+    /// Output divisors on small signed products (serial kernel).
+    #[test]
+    fn output_divisors_match_map_stored_small((a, b) in arb_signed_pair(false), salt in 0u32..50) {
+        assert_scaled_agrees(&a, &b, salt)?;
+    }
+
     /// The in-place value pass equals the COO route it replaces: push
     /// each kept `(row, col, f(value))` into a builder and convert. The
     /// rule drops by position and by value, so rows end up emptied,
@@ -499,5 +559,21 @@ proptest! {
         prop_assert_eq!(got.indices(), want.indices());
         let bits = |m: &CsrMatrix| m.values().iter().map(|f| f.to_bits()).collect::<Vec<_>>();
         prop_assert_eq!(bits(&got), bits(&want));
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(8))]
+
+    /// Output divisors on signed products above the parallel threshold:
+    /// the two-phase kernel, including its compaction of rows whose
+    /// entries cancelled exactly.
+    #[test]
+    fn output_divisors_match_map_stored_large((a, b) in arb_signed_pair(true), salt in 0u32..50) {
+        let flops: usize = a.indices().iter().map(|&k| b.row_nnz(k as usize)).sum();
+        prop_assert!(flops >= 1 << 17, "only {} flops", flops);
+        let counted: usize = parallel::symbolic_row_nnz(&a, &b).unwrap().iter().sum();
+        prop_assert!(a.matmul(&b).unwrap().nnz() < counted, "no entry cancelled");
+        assert_scaled_agrees(&a, &b, salt)?;
     }
 }
