@@ -36,27 +36,64 @@ pub struct Halves {
     pub right_norms: Arc<[f64]>,
 }
 
+/// A raw half-path product and, when its writer took them in the same
+/// pass, its row norms.
+#[derive(Debug)]
+pub(crate) struct RawHalf {
+    pub(crate) matrix: Arc<CsrMatrix>,
+    pub(crate) norms: Option<Vec<f64>>,
+}
+
+impl RawHalf {
+    /// A half that arrives without norms (a chain product, an install).
+    pub(crate) fn bare(matrix: Arc<CsrMatrix>) -> RawHalf {
+        RawHalf {
+            matrix,
+            norms: None,
+        }
+    }
+
+    /// The half with its row norms, checked for finiteness. A finite norm
+    /// bounds every value of its row, and a NaN or infinite value makes
+    /// its row's norm non-finite, so finite norms vouch for finite values
+    /// and only a half with a non-finite norm is scanned. Such a half may
+    /// still pass: finite values whose squares overflow (external data
+    /// on install) are accepted as they always were.
+    fn normed(self, what: &'static str) -> Result<(Arc<CsrMatrix>, Arc<[f64]>)> {
+        let norms = match self.norms {
+            Some(norms) => norms,
+            None => self.matrix.row_l2_norms(),
+        };
+        if !norms.iter().all(|n| n.is_finite()) {
+            self.matrix.check_finite(what)?;
+        }
+        Ok((self.matrix, norms.into()))
+    }
+}
+
 impl Halves {
-    /// Derives the query structures from raw half products: checks that
-    /// every value is finite, takes the row norms and transposes the
-    /// right half. `right = None` means the right half is `left` itself
-    /// (an even symmetric path): it then shares `left`'s storage and
-    /// norms, and the derivation runs one finiteness check, one norm pass
-    /// and one transpose. The engine's builds and snapshot installs both
-    /// come through here, so they reach the same layout.
-    pub(crate) fn derive(left: Arc<CsrMatrix>, right: Option<Arc<CsrMatrix>>) -> Result<Halves> {
-        left.check_finite("hetesim left half")?;
-        let left_norms: Arc<[f64]> = left.row_l2_norms().into();
+    /// Derives the query structures from raw half products, taking what
+    /// the writer already computed: row norms written with a half are
+    /// used as they are, and a given `right_t` is used in place of
+    /// transposing the right half. Every value must be finite (see
+    /// [`RawHalf`] for how the norms vouch for it). `right = None` means
+    /// the right half is `left` itself (an even symmetric path): it then
+    /// shares `left`'s storage and norms, and the derivation runs one
+    /// norm pass and at most one transpose. The engine's builds and
+    /// snapshot installs both come through here, so they reach the same
+    /// layout.
+    pub(crate) fn derive(
+        left: RawHalf,
+        right: Option<RawHalf>,
+        right_t: Option<CsrMatrix>,
+    ) -> Result<Halves> {
+        let (left, left_norms) = left.normed("hetesim left half")?;
         let (right, right_norms) = match right {
-            Some(right) => {
-                right.check_finite("hetesim right half")?;
-                let norms = right.row_l2_norms().into();
-                (right, norms)
-            }
+            Some(right) => right.normed("hetesim right half")?,
             None => (Arc::clone(&left), Arc::clone(&left_norms)),
         };
         Ok(Halves {
-            right_t: right.transpose(),
+            right_t: right_t.unwrap_or_else(|| right.transpose()),
             left,
             right,
             left_norms,
@@ -395,9 +432,13 @@ mod tests {
     use std::sync::Barrier;
     use std::time::Duration;
 
+    fn bare(m: CsrMatrix) -> RawHalf {
+        RawHalf::bare(Arc::new(m))
+    }
+
     fn dummy_halves() -> Halves {
-        let m = Arc::new(CsrMatrix::identity(2));
-        Halves::derive(m, Some(Arc::new(CsrMatrix::identity(2)))).unwrap()
+        let m = CsrMatrix::identity(2);
+        Halves::derive(bare(m.clone()), Some(bare(m)), None).unwrap()
     }
 
     #[test]
@@ -405,17 +446,52 @@ mod tests {
         let m = CsrMatrix::identity(2);
         let one = m.mem_bytes();
         let norms = 2 * std::mem::size_of::<f64>();
-        let shared = Halves::derive(Arc::new(m.clone()), None).unwrap();
+        let shared = Halves::derive(bare(m.clone()), None, None).unwrap();
         assert!(shared.shares_left());
         assert!(Arc::ptr_eq(&shared.left_norms, &shared.right_norms));
         // left + right_t + one norm vector.
         assert_eq!(shared.mem_bytes(), 2 * one + norms);
-        let separate = Halves::derive(Arc::new(m.clone()), Some(Arc::new(m))).unwrap();
+        let separate = Halves::derive(bare(m.clone()), Some(bare(m)), None).unwrap();
         assert!(!separate.shares_left());
         // left + right + right_t + two norm vectors.
         assert_eq!(separate.mem_bytes(), 3 * one + 2 * norms);
         assert_eq!(shared.right_t, separate.right_t);
         assert_eq!(*shared.right_norms, *separate.right_norms);
+    }
+
+    #[test]
+    fn norms_vouch_for_finiteness_and_overflowing_squares_still_pass() {
+        let m = |v: f64| CsrMatrix::from_raw(2, 2, vec![0, 1, 2], vec![0, 1], vec![1.0, v]);
+        let nan = Halves::derive(bare(m(1.0)), Some(bare(m(f64::NAN))), None).unwrap_err();
+        assert!(matches!(
+            nan,
+            CoreError::Sparse(hetesim_sparse::SparseError::NotFinite {
+                op: "hetesim right half"
+            })
+        ));
+        let inf = Halves::derive(bare(m(f64::INFINITY)), None, None).unwrap_err();
+        assert!(matches!(
+            inf,
+            CoreError::Sparse(hetesim_sparse::SparseError::NotFinite {
+                op: "hetesim left half"
+            })
+        ));
+        // Finite values whose squares overflow: the norm is infinite, the
+        // explicit check passes, and the half is kept as it is.
+        let big = Halves::derive(bare(m(1e200)), None, None).unwrap();
+        assert_eq!(big.left_norms[1], f64::INFINITY);
+        // Norms and a transpose handed in are used as they are.
+        let given = Halves::derive(
+            RawHalf {
+                matrix: Arc::new(m(2.0)),
+                norms: Some(vec![1.0, 2.0]),
+            },
+            None,
+            Some(m(2.0).transpose()),
+        )
+        .unwrap();
+        assert_eq!(*given.left_norms, [1.0, 2.0]);
+        assert_eq!(given.right_t, m(2.0));
     }
 
     #[test]

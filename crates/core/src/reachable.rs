@@ -17,11 +17,11 @@ pub fn transition_chain(hin: &Hin, steps: &[Step]) -> Vec<CsrMatrix> {
     steps.iter().map(|&s| hin.step_transition(s)).collect()
 }
 
-/// Normalizes a pre-built adjacency chain in place (each matrix becomes
-/// row-stochastic). Used when the chain already contains edge-object
-/// matrices from an odd-path decomposition.
-pub fn normalize_chain(mats: Vec<CsrMatrix>) -> Vec<CsrMatrix> {
-    mats.into_iter().map(|m| m.row_normalized()).collect()
+/// Normalizes a pre-built adjacency chain (each matrix becomes
+/// row-stochastic), borrowing its inputs. Used when the chain already
+/// contains edge-object matrices from an odd-path decomposition.
+pub fn normalize_chain<'m>(mats: impl IntoIterator<Item = &'m CsrMatrix>) -> Vec<CsrMatrix> {
+    mats.into_iter().map(CsrMatrix::row_normalized).collect()
 }
 
 /// Multiplies a chain of stochastic matrices into a single
@@ -132,7 +132,7 @@ mod tests {
     fn normalize_chain_makes_rows_stochastic() {
         let hin = toy();
         let w = hin.schema().relation_id("writes").unwrap();
-        let mats = normalize_chain(vec![hin.adjacency(w).clone()]);
+        let mats = normalize_chain([hin.adjacency(w)]);
         for r in 0..mats[0].nrows() {
             let s: f64 = mats[0].row_values(r).iter().sum();
             assert!((s - 1.0).abs() < 1e-12);

@@ -337,7 +337,8 @@ mod tests {
     use std::sync::Arc;
 
     fn halves_from(left: CsrMatrix, right: CsrMatrix) -> Halves {
-        Halves::derive(Arc::new(left), Some(Arc::new(right))).unwrap()
+        let bare = |m| crate::cache::RawHalf::bare(Arc::new(m));
+        Halves::derive(bare(left), Some(bare(right)), None).unwrap()
     }
 
     /// A skewed fixture: source 0 reaches most middles (hot row), several

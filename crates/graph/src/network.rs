@@ -1,6 +1,7 @@
 use crate::hash::NameMap;
 use crate::{Direction, GraphError, RelId, Result, Schema, Step, TypeId};
 use hetesim_sparse::{CooMatrix, CsrMatrix};
+use std::sync::OnceLock;
 
 /// A typed reference to one node: its type plus its index within that
 /// type's registry.
@@ -20,7 +21,9 @@ impl NodeRef {
 }
 
 /// An immutable heterogeneous information network: per-type node registries
-/// plus one adjacency matrix per schema relation (with cached transposes).
+/// plus one adjacency matrix per schema relation (with cached transposes,
+/// and each orientation's row-sum divisors once a query has asked for
+/// them).
 ///
 /// Built through [`HinBuilder`]; all query-side structures (`hetesim-core`,
 /// the baselines) borrow a `Hin` immutably, so a single network can serve
@@ -32,6 +35,15 @@ pub struct Hin {
     index: Vec<NameMap>,
     adj: Vec<CsrMatrix>,
     adj_t: Vec<CsrMatrix>,
+    /// Per relation, the row-sum divisors of `adj` (`[0]`) and `adj_t`
+    /// (`[1]`), filled on first use by [`Hin::step_divisors`] so that
+    /// building or loading a network never pays for them.
+    divisors: Vec<[OnceLock<Vec<f64>>; 2]>,
+}
+
+/// One empty divisor slot pair per relation.
+fn divisor_slots(relations: usize) -> Vec<[OnceLock<Vec<f64>>; 2]> {
+    (0..relations).map(|_| Default::default()).collect()
 }
 
 impl Hin {
@@ -95,6 +107,7 @@ impl Hin {
             schema,
             names,
             index,
+            divisors: divisor_slots(adj.len()),
             adj,
             adj_t,
         })
@@ -163,6 +176,22 @@ impl Hin {
             Direction::Forward => self.adjacency(step.rel),
             Direction::Backward => self.adjacency_t(step.rel),
         }
+    }
+
+    /// Row-sum divisors of [`Hin::step_adjacency`] (see
+    /// [`CsrMatrix::row_sum_divisors`]): dividing each row of the step's
+    /// adjacency by its divisor gives the transition matrix `U` of
+    /// Definition 8 bit for bit. A divisor belongs to a relation
+    /// direction, not to a path, so it is computed on the first call for
+    /// that relation and direction and then shared by every later
+    /// half-path build, on any thread.
+    pub fn step_divisors(&self, step: Step) -> &[f64] {
+        let slots = &self.divisors[step.rel.index()];
+        let slot = match step.dir {
+            Direction::Forward => &slots[0],
+            Direction::Backward => &slots[1],
+        };
+        slot.get_or_init(|| self.step_adjacency(step).row_sum_divisors())
     }
 
     /// Row-stochastic transition matrix `U` for a step (Definition 8).
@@ -344,6 +373,7 @@ impl HinBuilder {
             schema: self.schema,
             names: self.names,
             index: self.index,
+            divisors: divisor_slots(adj.len()),
             adj,
             adj_t,
         }
@@ -410,6 +440,28 @@ mod tests {
             let s: f64 = u.row_values(r).iter().sum();
             assert!((s - 1.0).abs() < 1e-12);
         }
+    }
+
+    #[test]
+    fn step_divisors_are_filled_on_first_use_and_kept() {
+        let hin = toy();
+        assert!(hin.divisors.iter().flatten().all(|d| d.get().is_none()));
+        for text in ["A-P", "P-A", "P-C", "C-P"] {
+            let step = MetaPath::parse(hin.schema(), text).unwrap().steps()[0];
+            let d = hin.step_divisors(step);
+            assert_eq!(d, hin.step_adjacency(step).row_sum_divisors(), "{text}");
+            assert!(
+                std::ptr::eq(d, hin.step_divisors(step)),
+                "{text} recomputed"
+            );
+        }
+        // A clone carries the filled divisors along.
+        assert!(hin
+            .clone()
+            .divisors
+            .iter()
+            .flatten()
+            .all(|d| d.get().is_some()));
     }
 
     #[test]

@@ -194,10 +194,11 @@ impl ChainPlan {
             match self.operand(mats, divisors, 0, self.len - 1, threads.max(1))? {
                 Operand::Prod(m) => m,
                 // A chain of one matrix has no product to fuse the
-                // divisors into; materialize the normalization by division
-                // (bitwise equal to `row_normalized`, see
-                // `row_sum_divisors`).
-                Operand::Leaf(m, Some(d)) => m.rows_divided(d),
+                // divisors into; materialize the normalization in one
+                // writing pass (bitwise equal to `row_normalized`, see
+                // `row_sum_divisors`). A caller that also wants the row
+                // norms calls `rows_divided_with_norms` itself.
+                Operand::Leaf(m, Some(d)) => m.rows_divided_with_norms(d).0,
                 Operand::Leaf(m, None) => m.clone(),
             },
         )

@@ -1,6 +1,6 @@
 use crate::kernel::{self, Divisors};
 use crate::scratch::{self, Scratch};
-use crate::{CooMatrix, DenseMatrix, Result, SparseError, SparseVec};
+use crate::{l2_norm_dense, CooMatrix, DenseMatrix, Result, SparseError, SparseVec};
 
 /// Checks that `nnz` stored entries are addressable by the `u32`
 /// row-pointer array, returning the count as `u32`.
@@ -647,21 +647,59 @@ impl CsrMatrix {
             .collect()
     }
 
-    /// Divides each row by its divisor, materializing what the fused
-    /// kernels compute on the fly. With divisors from
-    /// [`CsrMatrix::row_sum_divisors`] this equals `row_normalized()`
-    /// bit-for-bit; used when a chain leaf must be returned normalized
-    /// rather than consumed by a fused product.
-    pub(crate) fn rows_divided(&self, div: &[f64]) -> CsrMatrix {
-        debug_assert_eq!(div.len(), self.nrows);
-        let mut out = self.clone();
+    /// Divides each row by its divisor into a new matrix and takes each
+    /// divided row's Euclidean norm in the same pass: the values are
+    /// written once, straight from `self`, and each row's norm is summed
+    /// while the row is still in cache. With divisors from
+    /// [`CsrMatrix::row_sum_divisors`] the matrix equals
+    /// `row_normalized()` bit for bit, and the norms equal its
+    /// [`CsrMatrix::row_l2_norms`] bit for bit (the same helper over the
+    /// same values in the same order, so an empty row keeps the bits of
+    /// an empty sum). This is what the fused kernels compute on the fly,
+    /// materialized for a chain leaf that no product consumes — a
+    /// one-factor half-path product.
+    pub fn rows_divided_with_norms(&self, div: &[f64]) -> (CsrMatrix, Vec<f64>) {
+        assert_eq!(div.len(), self.nrows, "one divisor per row");
+        let mut values = Vec::with_capacity(self.nnz());
+        let mut norms = Vec::with_capacity(self.nrows);
         for (r, &d) in div.iter().enumerate() {
-            let (lo, hi) = (out.indptr[r] as usize, out.indptr[r + 1] as usize);
-            for v in &mut out.values[lo..hi] {
-                *v /= d;
-            }
+            let start = values.len();
+            values.extend(self.row_values(r).iter().map(|v| v / d));
+            norms.push(l2_norm_dense(&values[start..]));
         }
-        out
+        let divided = CsrMatrix {
+            nrows: self.nrows,
+            ncols: self.ncols,
+            indptr: self.indptr.clone(),
+            indices: self.indices.clone(),
+            values,
+        };
+        (divided, norms)
+    }
+
+    /// Divides each stored value by its column's divisor, copying the
+    /// structure, in one sequential pass. For the transpose `t` of a
+    /// matrix `m`, `t.cols_divided(d)` is the transpose of
+    /// `m.rows_divided_with_norms(d).0` bit for bit: the same entries,
+    /// each divided once by the same divisor, in the structure the
+    /// counting-sort [`CsrMatrix::transpose`] would produce. A caller
+    /// that already holds `mᵀ` gets the transposed normalized matrix
+    /// without a scatter.
+    pub fn cols_divided(&self, div: &[f64]) -> CsrMatrix {
+        assert_eq!(div.len(), self.ncols, "one divisor per column");
+        let values = self
+            .indices
+            .iter()
+            .zip(&self.values)
+            .map(|(&c, &v)| v / div[c as usize])
+            .collect();
+        CsrMatrix {
+            nrows: self.nrows,
+            ncols: self.ncols,
+            indptr: self.indptr.clone(),
+            indices: self.indices.clone(),
+            values,
+        }
     }
 
     /// Column-stochastic normalization (the `V_{AB}` matrix of Definition
@@ -691,7 +729,7 @@ impl CsrMatrix {
     /// Per-row Euclidean norms (used to normalize HeteSim, Definition 10).
     pub fn row_l2_norms(&self) -> Vec<f64> {
         (0..self.nrows)
-            .map(|r| self.row_values(r).iter().map(|v| v * v).sum::<f64>().sqrt())
+            .map(|r| l2_norm_dense(self.row_values(r)))
             .collect()
     }
 
@@ -939,15 +977,33 @@ mod tests {
     }
 
     #[test]
-    fn rows_divided_matches_row_normalized() {
-        // Includes empty rows, whose sentinel divisor 1.0 must be a no-op.
-        let mut coo = CooMatrix::new(5, 4);
-        coo.push(0, 1, 2.0);
-        coo.push(0, 3, 6.0);
-        coo.push(2, 0, 0.125);
-        coo.push(4, 2, -3.5);
-        let m = coo.to_csr();
-        assert_eq!(m.rows_divided(&m.row_sum_divisors()), m.row_normalized());
+    fn rows_divided_matches_row_normalized_and_its_norms() {
+        // Includes empty rows, whose sentinel divisor 1.0 must be a no-op
+        // and whose norm keeps the bits of an empty sum, and a stored zero.
+        let m = CsrMatrix::from_raw(
+            5,
+            4,
+            vec![0, 3, 3, 4, 4, 5],
+            vec![1, 2, 3, 0, 2],
+            vec![2.0, 0.0, 6.0, 0.125, -3.5],
+        );
+        let (divided, norms) = m.rows_divided_with_norms(&m.row_sum_divisors());
+        let normalized = m.row_normalized();
+        assert_eq!(divided, normalized);
+        let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        assert_eq!(bits(divided.values()), bits(normalized.values()));
+        assert_eq!(bits(&norms), bits(&normalized.row_l2_norms()));
+    }
+
+    #[test]
+    fn cols_divided_is_the_transpose_of_rows_divided() {
+        let m = pseudo_random(40, 30, 3, 5);
+        let d = m.row_sum_divisors();
+        let by_scatter = m.rows_divided_with_norms(&d).0.transpose();
+        let by_value = m.transpose().cols_divided(&d);
+        assert_eq!(by_value, by_scatter);
+        let bits = |m: &CsrMatrix| m.values().iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        assert_eq!(bits(&by_value), bits(&by_scatter));
     }
 
     #[test]

@@ -118,7 +118,7 @@ pub(crate) fn symbolic_row_bitmap(
 }
 
 /// Divides every value of `m` by its row's divisor, filling `out` with
-/// the value array of `m.rows_divided(div)` without materializing the
+/// the value array of `m.rows_divided_with_norms(div).0` without materializing the
 /// structure. One division per stored value — the same single division
 /// `row_normalized` performs, so downstream products stay bit-identical.
 /// `out` is a reused scratch buffer; it is cleared first.
