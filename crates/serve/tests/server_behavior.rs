@@ -215,3 +215,44 @@ fn malformed_requests_get_400() {
         assert!(text.starts_with("HTTP/1.1 400 "), "{text:?}");
     });
 }
+
+#[test]
+fn trickling_client_is_cut_off_at_the_whole_request_budget() {
+    // One byte every 100 ms never trips a per-read timeout, so only a
+    // budget for the whole request lets the worker go. The request would
+    // take ~4 s to arrive; the worker must give up within about twice the
+    // 300 ms deadline.
+    use std::io::{Read, Write};
+    let handler = |_req: &Request| Response::json(200, "{}");
+    let cfg = ServeConfig {
+        workers: 1,
+        deadline_ms: 300,
+        ..config()
+    };
+    with_server(cfg, handler, |addr| {
+        let request = b"GET /trickle HTTP/1.1\r\nHost: slow-client\r\n\r\n";
+        let mut stream = std::net::TcpStream::connect(addr).unwrap();
+        let mut reader = stream.try_clone().unwrap();
+        let start = Instant::now();
+        let closed = std::thread::scope(|scope| {
+            let waiter = scope.spawn(move || {
+                // Returns when the server closes its side.
+                let mut rest = Vec::new();
+                let _ = reader.read_to_end(&mut rest);
+                start.elapsed()
+            });
+            for &byte in request.iter() {
+                if waiter.is_finished() || stream.write_all(&[byte]).is_err() {
+                    break;
+                }
+                std::thread::sleep(Duration::from_millis(100));
+            }
+            let _ = stream.shutdown(std::net::Shutdown::Write);
+            waiter.join().unwrap()
+        });
+        assert!(
+            closed < Duration::from_millis(700),
+            "a trickling client held the worker for {closed:?}"
+        );
+    });
+}
