@@ -584,13 +584,15 @@ impl Server {
         } = job;
         let deadline = self.deadline.map(|d| accepted + d);
         // A slow or stalled client may not hold a worker past the
-        // deadline (or past a hard cap when deadlines are off).
+        // deadline (or past a hard cap when deadlines are off): the budget
+        // covers the whole request, not each read.
         let read_budget = match deadline {
             Some(t) => t
                 .checked_duration_since(Instant::now())
                 .unwrap_or(Duration::from_millis(1)),
             None => Duration::from_secs(10),
         };
+        let read_until = Instant::now() + read_budget;
         let _ = stream.set_read_timeout(Some(read_budget));
         let _ = stream.set_write_timeout(Some(Duration::from_secs(5)));
 
@@ -614,7 +616,7 @@ impl Server {
 
         let parsed = {
             let _stage = hetesim_obs::span("serve.server.parse");
-            read_request(&mut stream)
+            read_request(&mut stream, read_until)
         };
         let mut verdict = "ok";
         let response = match parsed {
