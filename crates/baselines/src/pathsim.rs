@@ -53,6 +53,7 @@ impl PathMeasure for PathSim<'_> {
     }
 
     fn relevance_matrix(&self, path: &MetaPath) -> Result<CsrMatrix> {
+        let _span = hetesim_obs::span("baselines.pathsim.matrix");
         self.require_symmetric(path)?;
         Ok(scale_by_diagonal(self.count_matrix(path)?))
     }

@@ -1,6 +1,6 @@
 use hetesim_core::{reachable, PathMeasure, Ranked, Result};
 use hetesim_graph::{Hin, MetaPath};
-use hetesim_sparse::CsrMatrix;
+use hetesim_sparse::{CsrMatrix, SparseVec};
 
 /// Path-Constrained Random Walk (Lao & Cohen, 2010).
 ///
@@ -31,8 +31,14 @@ impl<'a> Pcrw<'a> {
 
     /// Reachable-probability row for a single source (sparse propagation).
     pub fn walk_distribution(&self, path: &MetaPath, source: u32) -> Result<Vec<f64>> {
-        let v = reachable::propagate_from(self.hin, path.steps(), source)?;
-        Ok(v.to_dense())
+        Ok(self.walk(path, source)?.to_dense())
+    }
+
+    /// The walker's distribution after following `path` from `source`:
+    /// the single-source route every per-source query shares.
+    fn walk(&self, path: &MetaPath, source: u32) -> Result<SparseVec> {
+        let _span = hetesim_obs::span("baselines.pcrw.walk");
+        reachable::propagate_from(self.hin, path.steps(), source)
     }
 }
 
@@ -42,16 +48,17 @@ impl PathMeasure for Pcrw<'_> {
     }
 
     fn relevance_matrix(&self, path: &MetaPath) -> Result<CsrMatrix> {
+        let _span = hetesim_obs::span("baselines.pcrw.matrix");
         reachable::reachable_matrix(self.hin, path.steps())
     }
 
     fn score(&self, path: &MetaPath, a: u32, b: u32) -> Result<f64> {
-        let v = reachable::propagate_from(self.hin, path.steps(), a)?;
+        let v = self.walk(path, a)?;
         Ok(v.get(b as usize))
     }
 
     fn rank_targets(&self, path: &MetaPath, a: u32) -> Result<Vec<Ranked>> {
-        let v = reachable::propagate_from(self.hin, path.steps(), a)?;
+        let v = self.walk(path, a)?;
         let mut out: Vec<Ranked> = v
             .iter()
             .map(|(t, s)| Ranked {

@@ -50,6 +50,7 @@ impl Default for SimRankConfig {
 /// cap, which panics deliberately: exceeding it is a misuse, not a runtime
 /// condition.
 pub fn simrank(hin: &Hin, cfg: SimRankConfig) -> (FlatGraph, DenseMatrix) {
+    let _span = hetesim_obs::span("baselines.simrank.run");
     let flat = FlatGraph::undirected(hin);
     let n = flat.node_count();
     assert!(

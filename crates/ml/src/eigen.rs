@@ -139,6 +139,7 @@ pub fn subspace_iteration(
     tol: f64,
     seed: u64,
 ) -> (Vec<f64>, DenseMatrix) {
+    let _span = hetesim_obs::span("ml.eigen.subspace_iteration");
     assert_eq!(a.nrows(), a.ncols(), "operator must be square");
     let n = a.nrows();
     assert!(k >= 1 && k <= n, "k must be in 1..=n");

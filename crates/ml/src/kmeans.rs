@@ -147,6 +147,7 @@ fn lloyd(data: &DenseMatrix, k: usize, cfg: KMeansConfig, rng: &mut StdRng) -> K
 /// # Panics
 /// Panics if `k == 0` or `k > data.nrows()`.
 pub fn kmeans(data: &DenseMatrix, k: usize, cfg: KMeansConfig) -> KMeansResult {
+    let _span = hetesim_obs::span("ml.kmeans.run");
     assert!(k >= 1 && k <= data.nrows(), "k must be in 1..=n");
     let mut best: Option<KMeansResult> = None;
     for restart in 0..cfg.restarts.max(1) {

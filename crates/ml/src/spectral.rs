@@ -63,6 +63,7 @@ pub fn normalized_affinity(w: CsrMatrix) -> CsrMatrix {
 /// The spectral embedding: top-`k` eigenvectors of the normalized
 /// affinity, rows scaled to unit length.
 pub fn spectral_embedding(w: &CsrMatrix, k: usize, cfg: &SpectralConfig) -> DenseMatrix {
+    let _span = hetesim_obs::span("ml.spectral.embedding");
     assert_eq!(w.nrows(), w.ncols(), "affinity must be square");
     let b = normalized_affinity(symmetrize(w));
     let n = b.nrows();
@@ -97,6 +98,7 @@ pub fn spectral_embedding(w: &CsrMatrix, k: usize, cfg: &SpectralConfig) -> Dens
 /// Normalized-Cut clustering of a (possibly asymmetric, possibly drifted)
 /// affinity matrix into `k` clusters. Returns one label per row.
 pub fn normalized_cut(w: &CsrMatrix, k: usize, cfg: &SpectralConfig) -> Vec<usize> {
+    let _span = hetesim_obs::span("ml.spectral.normalized_cut");
     let embedding = spectral_embedding(w, k, cfg);
     kmeans(&embedding, k, cfg.kmeans).labels
 }
