@@ -7,7 +7,7 @@
 //!   `S = max(C · Q S Qᵀ, I)` over a flattened HIN, where `Q` is the
 //!   row-normalized in-neighbor matrix. This is the measure whose
 //!   `O(k d n² T⁴)` complexity the paper contrasts with HeteSim's
-//!   `O(l d n²)` in Section 4.6; the scaling bench reproduces that gap.
+//!   `O(l d n²)` in Section 4.6; `repro scaling` counts that gap.
 //! * [`bipartite_hop_terms`] — the hop decomposition used in Property 5:
 //!   on a bipartite graph `A →R B` with `C = 1` and no diagonal reset,
 //!   the k-th term equals the *unnormalized* HeteSim over the self-path

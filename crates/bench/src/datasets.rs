@@ -1,5 +1,5 @@
 //! Standard dataset instantiations shared by the `repro` binary, the
-//! Criterion benches, and the integration tests.
+//! bench binaries, and the integration tests.
 
 use hetesim_data::{acm, dblp};
 

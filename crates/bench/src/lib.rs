@@ -4,9 +4,9 @@
 //! Experiment harness regenerating every table and figure of the paper's
 //! evaluation (Section 5).
 //!
-//! Each experiment module computes a structured result (so tests, the
-//! `repro` binary, and the Criterion benches can share it) and renders it
-//! as an aligned text table. The mapping to the paper:
+//! Each experiment module computes a structured result (so tests and the
+//! `repro` binary can share it) and renders it as an aligned text table.
+//! The mapping to the paper:
 //!
 //! | Module       | Reproduces |
 //! |--------------|------------|

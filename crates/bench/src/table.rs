@@ -26,29 +26,6 @@ impl Table {
     pub fn push_row(&mut self, cells: Vec<String>) {
         self.rows.push(cells);
     }
-
-    /// Convenience for a row of displayable values.
-    pub fn push_display_row<D: fmt::Display>(&mut self, cells: &[D]) {
-        self.push_row(cells.iter().map(|c| c.to_string()).collect());
-    }
-
-    /// Number of data rows.
-    pub fn row_count(&self) -> usize {
-        self.rows.len()
-    }
-
-    /// The header labels.
-    pub fn headers(&self) -> &[String] {
-        &self.headers
-    }
-
-    /// Cell accessor (empty string when absent).
-    pub fn cell(&self, row: usize, col: usize) -> &str {
-        self.rows
-            .get(row)
-            .and_then(|r| r.get(col))
-            .map_or("", String::as_str)
-    }
 }
 
 impl fmt::Display for Table {
@@ -103,22 +80,5 @@ mod tests {
         let lines: Vec<&str> = s.lines().collect();
         assert_eq!(lines.len(), 5);
         assert_eq!(lines[3].len(), lines[4].len());
-    }
-
-    #[test]
-    fn cell_accessor_tolerates_gaps() {
-        let mut t = Table::new("x", &["a", "b"]);
-        t.push_row(vec!["only".into()]);
-        assert_eq!(t.cell(0, 0), "only");
-        assert_eq!(t.cell(0, 1), "");
-        assert_eq!(t.cell(9, 9), "");
-        assert_eq!(t.row_count(), 1);
-    }
-
-    #[test]
-    fn display_row_helper() {
-        let mut t = Table::new("x", &["a", "b"]);
-        t.push_display_row(&[1.5, 2.5]);
-        assert_eq!(t.cell(0, 1), "2.5");
     }
 }

@@ -30,12 +30,15 @@ pub enum Json {
 impl Json {
     /// Parses a complete JSON document, rejecting trailing garbage.
     pub fn parse(text: &str) -> Result<Json, String> {
-        let bytes = text.as_bytes();
-        let mut p = Parser { bytes, pos: 0 };
+        let mut p = Parser {
+            text,
+            bytes: text.as_bytes(),
+            pos: 0,
+        };
         p.skip_ws();
         let v = p.value(0)?;
         p.skip_ws();
-        if p.pos != bytes.len() {
+        if p.pos != text.len() {
             return Err(format!("trailing characters at byte {}", p.pos));
         }
         Ok(v)
@@ -151,6 +154,7 @@ pub fn escape(s: &str) -> String {
 const MAX_DEPTH: usize = 64;
 
 struct Parser<'a> {
+    text: &'a str,
     bytes: &'a [u8],
     pos: usize,
 }
@@ -266,15 +270,15 @@ impl<'a> Parser<'a> {
                     self.pos += 1;
                 }
                 Some(_) => {
-                    // Consume one UTF-8 character (the input is a &str, so
-                    // boundaries are valid by construction).
-                    let rest = std::str::from_utf8(&self.bytes[self.pos..])
-                        .map_err(|_| "invalid UTF-8")?;
-                    let Some(c) = rest.chars().next() else {
-                        return Err("truncated string".into());
-                    };
-                    out.push(c);
-                    self.pos += c.len_utf8();
+                    // Copy the run up to the next quote or backslash in one
+                    // go. Both are ASCII, so they never fall inside a
+                    // multi-byte character and the run ends on a boundary.
+                    let run = self.bytes[self.pos..]
+                        .iter()
+                        .position(|&b| b == b'"' || b == b'\\')
+                        .map_or(self.bytes.len(), |n| self.pos + n);
+                    out.push_str(&self.text[self.pos..run]);
+                    self.pos = run;
                 }
             }
         }
@@ -344,6 +348,7 @@ impl<'a> Parser<'a> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     #[test]
     fn parses_scalars() {
@@ -386,6 +391,99 @@ mod tests {
     fn rejects_deep_nesting() {
         let deep = "[".repeat(200) + &"]".repeat(200);
         assert!(Json::parse(&deep).is_err());
+    }
+
+    #[test]
+    fn values_inside_64_containers_parse_and_65_are_rejected() {
+        let nested = |n: usize| "[{\"k\":".repeat(n / 2) + &"[".repeat(n % 2) + "0";
+        let closed = |n: usize| nested(n) + &"]".repeat(n % 2) + &"}]".repeat(n / 2);
+        assert!(Json::parse(&closed(MAX_DEPTH)).is_ok());
+        assert_eq!(
+            Json::parse(&closed(MAX_DEPTH + 1)),
+            Err("JSON nested too deeply".to_string())
+        );
+    }
+
+    #[test]
+    fn long_strings_parse_in_linear_time() {
+        // Just under the server's body cap: re-validating the rest of the
+        // input for every character takes tens of seconds here.
+        let s = "a".repeat(crate::MAX_BODY_BYTES - 16) + "é";
+        let body = format!("{{\"path\":\"{s}\"}}");
+        let t = std::time::Instant::now();
+        let v = Json::parse(&body).unwrap();
+        let elapsed = t.elapsed();
+        assert_eq!(v.get("path").and_then(Json::as_str), Some(s.as_str()));
+        assert!(elapsed.as_secs_f64() < 1.0, "{elapsed:?}");
+    }
+
+    /// Hostile-input alphabet: JSON punctuation, escape starts, digits and
+    /// multi-byte characters.
+    const HOSTILE: &[char] = &[
+        '{', '}', '[', ']', '"', ',', ':', '\\', 'u', '0', '1', '9', 'e', '-', '.', ' ', 'é', '😀',
+        '\u{1}', 'n', 't', 'D', '8',
+    ];
+
+    /// Characters string values are drawn from: every escape `escape`
+    /// writes, plus multi-byte and non-BMP characters.
+    const STRING_CHARS: &[char] = &[
+        'a', '"', '\\', '/', '\n', '\r', '\t', '\u{1}', '\u{1f}', 'é', '中', '😀',
+    ];
+
+    fn text_from(ix: &[usize], alphabet: &[char]) -> String {
+        ix.iter().map(|&i| alphabet[i % alphabet.len()]).collect()
+    }
+
+    /// Decodes a stream of draws into a JSON value nested at most `depth`
+    /// deep.
+    fn value_from(draws: &mut std::slice::Iter<'_, u32>, depth: usize) -> Json {
+        let Some(&d) = draws.next() else {
+            return Json::Null;
+        };
+        let len = (d >> 8) as usize % 4;
+        match d % if depth == 0 { 5 } else { 7 } {
+            0 => Json::Null,
+            1 => Json::Bool(d & 0x100 != 0),
+            2 => Json::Num((d >> 3) as f64 / [1.0, 8.0, -3.0, 1e-7][len]),
+            3 | 4 => {
+                let ix: Vec<usize> = draws.take(len * 2).map(|&x| x as usize).collect();
+                Json::Str(text_from(&ix, STRING_CHARS))
+            }
+            5 => Json::Arr((0..len).map(|_| value_from(draws, depth - 1)).collect()),
+            _ => Json::Obj(
+                (0..len)
+                    .map(|i| (format!("k{i}\"é"), value_from(draws, depth - 1)))
+                    .collect(),
+            ),
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(512))]
+
+        #[test]
+        fn hostile_text_never_panics(
+            ix in collection::vec(0..HOSTILE.len(), 0..48),
+        ) {
+            let _ = Json::parse(&text_from(&ix, HOSTILE));
+        }
+
+        #[test]
+        fn written_values_parse_back(draws in collection::vec(any::<u32>(), 1..64)) {
+            let v = value_from(&mut draws.iter(), 4);
+            prop_assert_eq!(Json::parse(&v.to_string()), Ok(v));
+        }
+
+        #[test]
+        fn unicode_escapes_decode_surrogate_pairs(
+            ix in collection::vec(0..STRING_CHARS.len(), 0..16),
+        ) {
+            // Every UTF-16 unit as `\uXXXX`: non-BMP characters arrive as
+            // surrogate pairs.
+            let s = text_from(&ix, STRING_CHARS);
+            let escaped: String = s.encode_utf16().map(|u| format!("\\u{u:04X}")).collect();
+            prop_assert_eq!(Json::parse(&format!("\"{escaped}\"")), Ok(Json::Str(s)));
+        }
     }
 
     #[test]

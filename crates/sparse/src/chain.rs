@@ -10,7 +10,7 @@
 //! [`multiply_chain`] picks the order with a classic matrix-chain dynamic
 //! program whose cost model estimates SpGEMM flops from matrix densities;
 //! [`multiply_chain_left_to_right`] is the naive order, kept public as the
-//! test oracle and ablation baseline.
+//! test oracle and the work baseline the planned order is checked against.
 
 use crate::kernel::Divisors;
 use crate::{CsrMatrix, Result, SparseError};
@@ -256,7 +256,8 @@ pub fn multiply_chain(
     plan.execute(mats, divisors, threads)
 }
 
-/// Multiplies a chain strictly left-to-right (ablation baseline).
+/// Multiplies a chain strictly left-to-right (the test oracle and work
+/// baseline).
 pub fn multiply_chain_left_to_right(mats: &[&CsrMatrix]) -> Result<CsrMatrix> {
     let mut iter = mats.iter();
     let first = iter.next().ok_or(SparseError::EmptyChain)?;
@@ -387,6 +388,61 @@ mod tests {
         // The root split should isolate the first matrix so that
         // (B*C) happens first.
         assert_eq!(plan.splits[0][2], 0);
+    }
+
+    /// Exact multiply-adds of the row-by-row product `a · b`.
+    fn madds(a: &CsrMatrix, b: &CsrMatrix) -> usize {
+        (0..a.nrows())
+            .flat_map(|r| a.row_indices(r))
+            .map(|&k| b.row_nnz(k as usize))
+            .sum()
+    }
+
+    /// The product of `mats[i..=j]` in the plan's order and the exact
+    /// multiply-adds of every product run to get it.
+    fn planned_madds(
+        plan: &ChainPlan,
+        mats: &[&CsrMatrix],
+        i: usize,
+        j: usize,
+    ) -> (CsrMatrix, usize) {
+        if i == j {
+            return (mats[i].clone(), 0);
+        }
+        let k = plan.splits[i][j];
+        let (l, lw) = planned_madds(plan, mats, i, k);
+        let (r, rw) = planned_madds(plan, mats, k + 1, j);
+        (l.matmul(&r).unwrap(), lw + rw + madds(&l, &r))
+    }
+
+    #[test]
+    fn planned_order_does_less_work_than_left_to_right() {
+        // Shaped like A-P-V-C-V-P-A: 300 authors, 400 papers, 40 venues,
+        // 8 conferences; one venue per paper, one conference per venue.
+        let ap = random_rows(300, 400, 3, 1);
+        let pv = random_rows(400, 40, 1, 2);
+        let vc = random_rows(40, 8, 1, 3);
+        let cv = random_rows(8, 40, 5, 4);
+        let vp = random_rows(40, 400, 10, 5);
+        let pa = random_rows(400, 300, 3, 6);
+        let mats = [&ap, &pv, &vc, &cv, &vp, &pa];
+        let shapes: Vec<(usize, usize)> = mats.iter().map(|m| m.shape()).collect();
+        let densities: Vec<f64> = mats.iter().map(|m| m.density()).collect();
+        let plan = ChainPlan::plan(&shapes, &densities).unwrap();
+        let (planned, planned_work) = planned_madds(&plan, &mats, 0, mats.len() - 1);
+        assert_eq!(planned, multiply_chain(&mats, None, 1).unwrap());
+
+        let mut acc = ap.clone();
+        let mut naive_work = 0;
+        for m in &mats[1..] {
+            naive_work += madds(&acc, m);
+            acc = acc.matmul(m).unwrap();
+        }
+        assert_eq!(acc, multiply_chain_left_to_right(&mats).unwrap());
+        assert!(
+            planned_work < naive_work,
+            "planned {planned_work} vs left-to-right {naive_work} multiply-adds"
+        );
     }
 
     #[test]

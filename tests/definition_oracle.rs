@@ -235,8 +235,18 @@ fn check_routes(hin: &Hin, text: &str, threads: usize) -> Result<(), TestCaseErr
                 m[a][b],
                 s
             );
-            let p = engine.pair(&path, a as u32, b as u32).unwrap();
-            prop_assert!(close(p, s), "{} pair ({}, {}): {} vs {}", text, a, b, p, s);
+            let (a, b) = (a as u32, b as u32);
+            let pair = engine.pair(&path, a, b).unwrap();
+            let online = engine.pair_truncated(&path, a, b, usize::MAX).unwrap();
+            let why = engine.explain(&path, a, b, usize::MAX).unwrap();
+            let summed = why.meetings.iter().map(|m| m.contribution).sum();
+            let routes = [pair, online, why.score, summed];
+            for (route, got) in ["pair", "pair_truncated", "explain", "explain sum"]
+                .into_iter()
+                .zip(routes)
+            {
+                prop_assert!(close(got, s), "{text} {route} ({a}, {b}): {got} vs {s}");
+            }
         }
         let single = engine.single_source(&path, a as u32).unwrap();
         prop_assert_eq!(single.len(), row.len());

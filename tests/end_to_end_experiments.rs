@@ -127,6 +127,14 @@ fn table7_paths_rank_differently() {
 
 #[test]
 fn scaling_simrank_dominates() {
-    let rows = scaling::scaling_sweep(&[60, 120], 5).unwrap();
-    assert!(rows[1].simrank_ms > rows[1].hetesim_ms);
+    // Section 4.6 on counted work: SimRank does more multiply-adds than one
+    // HeteSim path at every size, and the gap widens as the network grows.
+    let rows = scaling::scaling_sweep(&[60, 120, 240], 5).unwrap();
+    let ratio = |r: &scaling::ScalingRow| r.simrank_madds as f64 / r.hetesim_madds as f64;
+    for r in &rows {
+        assert!(r.simrank_madds > r.hetesim_madds, "{r:?}");
+    }
+    for w in rows.windows(2) {
+        assert!(ratio(&w[1]) > ratio(&w[0]), "{rows:?}");
+    }
 }
